@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fabric import CellGrid, eval_multiply_many
-from .metrics import fmt6, psnr_from_mse
+from .metrics import check_sweep_width, fmt6, psnr_from_mse, sum_squares
 
 
 @dataclass(frozen=True)
@@ -58,13 +58,6 @@ class ClusterCell:
     psnr: float
     sum_ed: int             # exact integer mass, kept for conservation checks
     sum_ed_sq: int
-
-    @property
-    def mse_scaled(self) -> float:
-        """Mean squared ED after scaling the block's products to 0..255."""
-        if self.pmax_cluster == 0:
-            return self.mse
-        return self.mse * (255.0 / self.pmax_cluster) ** 2
 
 
 @dataclass(frozen=True)
@@ -114,6 +107,7 @@ def cluster_sweep(grid: CellGrid, n: int | None = None,
         spec = ClusterSpec(grid.width)
     elif spec.width != grid.width:
         raise ValueError("cluster spec width does not match grid width")
+    check_sweep_width(grid.width)
 
     side = 1 << grid.width
     s = spec.cluster_size
@@ -126,7 +120,7 @@ def cluster_sweep(grid: CellGrid, n: int | None = None,
 
     blocks = ed.reshape(g, s, g, s)
     sum_ed = blocks.sum(axis=(1, 3))
-    sum_ed_sq = (blocks.astype(np.int64) ** 2).sum(axis=(1, 3))
+    sum_ed_sq = sum_squares(blocks, axis=(1, 3))
 
     pairs = s * s
     cells = []
@@ -196,6 +190,7 @@ def ed_histogram(grid: CellGrid, n: int | None = None,
         raise ValueError(f"sweep width {n} does not match grid width {grid.width}")
     if bin_width is not None and bin_width < 1:
         raise ValueError(f"bin width must be >= 1, got {bin_width}")
+    check_sweep_width(grid.width)
 
     side = 1 << grid.width
     xs, ys = np.meshgrid(np.arange(side, dtype=np.int64),

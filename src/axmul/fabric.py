@@ -17,6 +17,14 @@ constant 0, ids 1..n*n are the partial products, and cell outputs are
 allocated after those.  Cells are stored in a valid evaluation order,
 so running a grid is a single flat loop.
 
+`eval_multiply` runs that loop on one operand pair and is the reference
+the batch evaluator is tested against.  `eval_multiply_many` is
+bit-sliced: every signal is a plane of uint64 words carrying one bit of
+64 operand pairs each, every distinct cell table is turned once into its
+algebraic normal form (an XOR of AND-monomials over a, b and cin), so a
+cell costs a few word-wide AND/XOR operations, and each signal is freed
+after its last reader in the cell order.
+
 A cell is approximate iff the significance (weight) of its sum output
 is below the configured degree; approximate cells use the configured
 adder tables, everything else uses the exact tables.
@@ -25,6 +33,7 @@ adder tables, everything else uses the exact tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -248,44 +257,143 @@ def eval_multiply(grid: CellGrid, x: int, y: int) -> int:
 
 
 def eval_multiply_many(grid: CellGrid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Vectorized grid evaluation over parallel operand arrays.
+    """Bit-sliced grid evaluation over parallel operand arrays.
 
-    Same wiring as eval_multiply, run elementwise with numpy lookups;
-    returns int64 products.
+    Same wiring as eval_multiply.  Each signal is a bit plane of uint64
+    words holding 64 operand pairs, so a partial product is one AND and
+    a cell is the XOR of its tables' ANF monomials (see `_anf`), a few
+    word-wide ANDs and XORs.  Constant-0 signals stay symbolic and drop
+    every monomial they enter; a signal is freed after its last reader
+    in the grid's topological cell order, and only the output taps are
+    kept to the end.  Returns the int64 products in the operands' shape.
     """
     n = grid.width
     xs = np.asarray(xs)
     ys = np.asarray(ys)
     if xs.shape != ys.shape:
         raise ValueError("operand arrays must have the same shape")
+    if xs.dtype.kind not in "biu" or ys.dtype.kind not in "biu":
+        raise TypeError(f"operands must be integer arrays, got {xs.dtype} and {ys.dtype}")
     if xs.size and (int(xs.min()) < 0 or int(xs.max()) >= (1 << n)
                     or int(ys.min()) < 0 or int(ys.max()) >= (1 << n)):
         raise ValueError(f"operands out of range for width {n}")
 
-    sig: list = [None] * grid.signal_count
-    sig[0] = np.zeros(xs.shape, dtype=np.uint8)
+    count = xs.size
+    words = -(-count // 64)
+    xp = _pack_planes(xs.ravel(), n, words)
+    yp = _pack_planes(ys.ravel(), n, words)
+    ones = np.full(words, np.uint64(0xFFFF_FFFF_FFFF_FFFF))
+    pp_count = n * n
 
-    xbits = [((xs >> i) & 1).astype(np.uint8) for i in range(n)]
-    ybits = [((ys >> j) & 1).astype(np.uint8) for j in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sig[1 + i * n + j] = xbits[i] & ybits[j]
+    def read(s):
+        # partial products are formed where they are read; None is constant 0
+        if s == 0:
+            return None
+        if s <= pp_count:
+            i, j = divmod(s - 1, n)
+            return xp[i] & yp[j]
+        return sig[s]
 
-    luts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for cell in grid.cells:
-        key = id(cell.spec)
-        if key not in luts:
-            luts[key] = (np.array(cell.spec.sum_bits, dtype=np.uint8),
-                         np.array(cell.spec.cout_bits, dtype=np.uint8))
-        sum_lut, cout_lut = luts[key]
-        idx = (sig[cell.in_a] << 2) | (sig[cell.in_b] << 1) | sig[cell.in_cin]
-        sig[cell.out_sum] = sum_lut[idx]
-        sig[cell.out_cout] = cout_lut[idx]
+    taps = set(grid.output_taps)
+    last_use: dict[int, int] = {}
+    for k, cell in enumerate(grid.cells):
+        for s in (cell.in_a, cell.in_b, cell.in_cin):
+            last_use[s] = k
 
-    product = np.zeros(xs.shape, dtype=np.int64)
+    sig: dict[int, np.ndarray | None] = {}
+    for k, cell in enumerate(grid.cells):
+        inputs = {4: read(cell.in_a), 2: read(cell.in_b), 1: read(cell.in_cin)}
+        terms: dict[int, np.ndarray | None] = {0: ones}
+        for out, bits in ((cell.out_sum, cell.spec.sum_bits),
+                          (cell.out_cout, cell.spec.cout_bits)):
+            if out in last_use or out in taps:
+                sig[out] = _xor_monomials(_anf(bits), inputs, terms)
+        for s in (cell.in_a, cell.in_b, cell.in_cin):
+            if last_use.get(s) == k and s > pp_count and s not in taps:
+                del sig[s]
+
+    tap_words = np.zeros((2 * n, words), dtype="<u8")
     for w, tap in enumerate(grid.output_taps):
-        product |= sig[tap].astype(np.int64) << w
-    return product
+        plane = read(tap)
+        if plane is not None:
+            tap_words[w] = plane
+    return _unpack_products(tap_words, count).reshape(xs.shape)
+
+
+@lru_cache(maxsize=256)
+def _anf(bits: tuple[int, ...]) -> tuple[int, ...]:
+    """Monomials of a table's algebraic normal form (Moebius transform).
+
+    Row idx = 4*a + 2*b + cin; monomial m is the AND of the inputs whose
+    bit is set in m (4 = a, 2 = b, 1 = cin, 0 = the constant 1), and
+    the table is the XOR of its monomials.
+    """
+    coef = list(bits)
+    for k in (1, 2, 4):
+        for idx in range(8):
+            if idx & k:
+                coef[idx] ^= coef[idx ^ k]
+    return tuple(m for m in range(8) if coef[m])
+
+
+def _xor_monomials(monomials, inputs, terms):
+    """XOR of the monomials' words; None when every monomial is constant 0.
+
+    `terms` caches each monomial's word across a cell's two outputs.  The
+    result is written in place only once it is a fresh array, never an
+    input's or a cached term's buffer.
+    """
+    result = None
+    fresh = False
+    for m in monomials:
+        word = _monomial(m, inputs, terms)
+        if word is None:
+            continue
+        if result is None:
+            result = word
+        elif fresh:
+            result ^= word
+        else:
+            result = result ^ word
+            fresh = True
+    return result
+
+
+def _monomial(m, inputs, terms):
+    """Word of monomial m, memoised in `terms`; None when it is constant 0."""
+    if m not in terms:
+        low = m & -m
+        word = inputs[low]
+        if m != low and word is not None:
+            rest = _monomial(m ^ low, inputs, terms)
+            word = None if rest is None else word & rest
+        terms[m] = word
+    return terms[m]
+
+
+def _pack_planes(values: np.ndarray, n: int, words: int) -> np.ndarray:
+    """Bit planes of `values` (width <= 16), 64 lanes per little-endian word."""
+    planes = np.zeros((n, 8 * words), dtype=np.uint8)
+    lanes = values.astype("<u2").view(np.uint8).reshape(-1, 2)
+    low_high = [np.ascontiguousarray(lanes[:, byte]) for byte in range(2)]
+    for i in range(n):
+        packed = np.packbits(low_high[i >> 3] & (1 << (i & 7)), bitorder="little")
+        planes[i, :packed.size] = packed
+    return planes.view("<u8")
+
+
+def _unpack_products(tap_words: np.ndarray, count: int) -> np.ndarray:
+    """Inverse of the packing: lane p's product bits from the tap planes."""
+    out = np.zeros((count, 8), dtype=np.uint8)
+    tap_bytes = tap_words.view(np.uint8)
+    for lo in range(0, tap_words.shape[0], 8):
+        byte = np.unpackbits(tap_bytes[lo], count=count, bitorder="little")
+        for k in range(1, min(8, tap_words.shape[0] - lo)):
+            bits = np.unpackbits(tap_bytes[lo + k], count=count, bitorder="little")
+            bits <<= k
+            byte |= bits
+        out[:, lo // 8] = byte
+    return out.view("<i8").ravel().astype(np.int64, copy=False)
 
 
 def cell_weight_map(grid: CellGrid) -> list[tuple[str, int, bool]]:

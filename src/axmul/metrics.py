@@ -3,7 +3,16 @@
 Sufficient statistics are collected in a mergeable accumulator so a sweep
 can be partitioned arbitrarily and reduced deterministically: all counts
 and distance sums are exact integers, only the relative-error sum is a
-float.  Sums fit comfortably in 63 bits for every supported width.
+float.  The squared-distance sum outgrows 63 bits (AMA2 at width 12
+reaches about 2^68.6), so it goes through `sum_squares`, which never
+forms a sum that int64 could wrap.
+
+Exhaustive sweeps stop at MAX_SWEEP_WIDTH: a sweep holds int64 arrays over
+4^n operand pairs (a first-operand chunk, or the whole domain for the
+per-block and histogram reductions), about 128 MB each at width 12 and
+512 MB at width 13, so wider sweeps are refused before anything is
+allocated.  Grids wider than that (up to fabric.MAX_WIDTH) can still be
+built and evaluated on chosen operand pairs.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ import numpy as np
 from .fabric import CellGrid, eval_multiply_many
 
 PEAK_SQUARED = 255 * 255   # PSNR numerator is fixed at 255^2 for every width
+MAX_SWEEP_WIDTH = 12
 
 
 @dataclass(frozen=True)
@@ -76,11 +86,37 @@ def accumulate_arrays(exact: np.ndarray, approx: np.ndarray) -> MetricAccumulato
         count=int(ed.size),
         err_count=int(np.count_nonzero(ed)),
         sum_ed=int(ed.sum()),
-        sum_ed_sq=int((ed * ed).sum()),
+        sum_ed_sq=sum_squares(ed),
         max_ed=int(ed.max(initial=0)),
         sum_red=float(red.sum()),
         red_count=int(np.count_nonzero(nonzero)),
     )
+
+
+def sum_squares(values: np.ndarray, axis=None):
+    """Exact sum of squares of integers in [0, 2^32), as Python ints.
+
+    Each value is split as hi * 2^16 + lo, so every product summed is
+    below 2^32 and each int64 partial sum stays below 2^63 for fewer than
+    2^31 values; the three partial sums are recombined as Python ints.
+    With `axis`, returns an object array of Python ints.
+    """
+    hi = (values >> 16).astype(np.uint32)
+    lo = (values & 0xFFFF).astype(np.uint32)
+    hh, hl, ll = ((p * q).sum(axis=axis, dtype=np.int64)
+                  for p, q in ((hi, hi), (hi, lo), (lo, lo)))
+    if axis is None:
+        hh, hl, ll = int(hh), int(hl), int(ll)
+    else:
+        hh, hl, ll = hh.astype(object), hl.astype(object), ll.astype(object)
+    return (hh << 32) + (hl << 17) + ll
+
+
+def check_sweep_width(n: int) -> None:
+    if n > MAX_SWEEP_WIDTH:
+        raise ValueError(
+            f"exhaustive sweeps support widths up to {MAX_SWEEP_WIDTH}, got {n}: "
+            f"arrays over all 4^{n} operand pairs would take several GB")
 
 
 def psnr_from_mse(mse: float) -> float:
@@ -146,8 +182,10 @@ def sweep_chunk_bounds(n: int) -> list[tuple[int, int]]:
     """Fixed first-operand partition of the sweep domain.
 
     Chunking depends only on the width, never on worker count, so any
-    parallel schedule reduces to the same merge order.
+    parallel schedule reduces to the same merge order.  Widths above
+    MAX_SWEEP_WIDTH are rejected here, before any sweep allocates.
     """
+    check_sweep_width(n)
     side = 1 << n
     chunks = min(16, side)
     step = side // chunks

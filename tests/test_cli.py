@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+import axmul.clustering
+import axmul.metrics
 from axmul.cli import main, parse_degree
 from axmul.adders import dump_library, AdderLibrary
 from axmul.designspace import AMA_TYPES
@@ -134,6 +136,21 @@ def test_sweep_worker_count_does_not_change_bytes(zero_lib_file, tmp_path):
         outputs.append(((out / "sweep_ZERO_D4.json").read_bytes(),
                         (out / "sweep_ZERO_D4.csv").read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_sweeps_above_width_12_are_usage_errors(exact_lib_file, tmp_path,
+                                                capsys, monkeypatch):
+    def never(*_args):
+        raise AssertionError("evaluated a grid that is too wide to sweep")
+    monkeypatch.setattr(axmul.metrics, "eval_multiply_many", never)
+    monkeypatch.setattr(axmul.clustering, "eval_multiply_many", never)
+    out = tmp_path / "out"
+    for command in ("sweep", "clusters", "histogram"):
+        code = main([command, "--library", exact_lib_file, "--width", "13",
+                     "--type", "exact", "--degree", "0", "--out", str(out)])
+        assert code == 1
+        assert "widths up to 12" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_table_filters(fake_ama_file, tmp_path, capsys):

@@ -2,11 +2,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from axmul.adders import AdderLibrary, UnknownAdderError
-from axmul.fabric import (MultiplierConfig, build_multiplier, cell_weight_map,
-                          eval_multiply, eval_multiply_many, exact_multiply,
-                          grid_csv)
+from axmul.adders import AdderLibrary, FullAdderSpec, UnknownAdderError
+from axmul.fabric import (ARCHITECTURES, HALF_ADDER_MODES, MultiplierConfig,
+                          build_multiplier, cell_weight_map, eval_multiply,
+                          eval_multiply_many, exact_multiply, grid_csv)
 from conftest import random_adder
 
 EXACT_LIB = AdderLibrary()
@@ -95,6 +96,52 @@ def test_operand_range_checks():
         eval_multiply(grid, 0, -1)
     with pytest.raises(ValueError):
         eval_multiply_many(grid, np.array([16]), np.array([0]))
+
+
+def test_eval_many_rejects_mismatched_and_out_of_range():
+    grid = build(4, "exact", 0)
+    with pytest.raises(ValueError, match="same shape"):
+        eval_multiply_many(grid, np.zeros(3, dtype=int), np.zeros(4, dtype=int))
+    with pytest.raises(ValueError, match="same shape"):
+        eval_multiply_many(grid, np.zeros((2, 3), dtype=int), np.zeros(6, dtype=int))
+    for bad in (-1, 16):
+        for xs, ys in (([1, bad], [2, 3]), ([1, 2], [bad, 3])):
+            with pytest.raises(ValueError, match="out of range"):
+                eval_multiply_many(grid, np.array(xs), np.array(ys))
+    with pytest.raises(TypeError, match="integer"):
+        eval_multiply_many(grid, np.array([2.5]), np.array([1]))
+
+
+bit_tables = st.tuples(*[st.integers(0, 1)] * 8)
+operand_shapes = st.one_of(
+    st.sampled_from([(0,), (1,), (63,), (64,), (65,), (5, 13)]),
+    st.integers(0, 200).map(lambda k: (k,)))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(data=st.data(), width=st.integers(2, 6), sum_bits=bit_tables,
+       cout_bits=bit_tables, architecture=st.sampled_from(ARCHITECTURES),
+       half_adders=st.sampled_from(HALF_ADDER_MODES), shape=operand_shapes,
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_eval_many_matches_scalar_property(data, width, sum_bits, cout_bits,
+                                           architecture, half_adders, shape,
+                                           seed):
+    degree = data.draw(st.integers(0, 2 * width), label="degree")
+    lib = AdderLibrary([FullAdderSpec("R", sum_bits, cout_bits)])
+    grid = build(width, "R", degree, library=lib, half_adders=half_adders,
+                 architecture=architecture)
+    rng = np.random.default_rng(seed)
+    xs = rng.integers(0, 1 << width, size=shape)
+    ys = rng.integers(0, 1 << width, size=shape)
+
+    batch = eval_multiply_many(grid, xs, ys)
+    assert batch.shape == shape
+    assert batch.dtype == np.int64
+    scalar = [eval_multiply(grid, int(x), int(y))
+              for x, y in zip(xs.ravel(), ys.ravel())]
+    assert batch.ravel().tolist() == scalar
+    if degree == 0:
+        assert np.array_equal(batch, xs * ys)
 
 
 def test_weight_rule_cell_assignment():

@@ -1,12 +1,17 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+import axmul.clustering
+import axmul.metrics
 from axmul.adders import AdderLibrary
+from axmul.clustering import cluster_sweep, ed_histogram
 from axmul.fabric import MultiplierConfig, build_multiplier, eval_multiply
-from axmul.metrics import (EvalOutcome, MetricAccumulator, accumulate,
-                           exhaustive_sweep, finalize, merge, psnr_from_mse,
+from axmul.metrics import (MAX_SWEEP_WIDTH, EvalOutcome, MetricAccumulator,
+                           accumulate, accumulate_arrays, exhaustive_sweep,
+                           finalize, merge, psnr_from_mse, sum_squares,
                            sweep_chunk, sweep_chunk_bounds)
 from conftest import random_adder
 from oracles import oracle_metrics
@@ -180,3 +185,35 @@ def test_integer_statistics_are_exact():
     assert isinstance(acc.sum_ed, int)
     assert isinstance(acc.sum_ed_sq, int)
     assert acc.sum_ed_sq < 2 ** 63
+
+
+def test_sum_ed_sq_is_exact_past_int64():
+    # 2^17 pairs at ED 2^24 - 1 square-sum to about 2^65
+    exact = np.full(1 << 17, (1 << 24) - 1, dtype=np.int64)
+    acc = accumulate_arrays(exact, np.zeros_like(exact))
+    assert acc.sum_ed_sq == (1 << 17) * ((1 << 24) - 1) ** 2
+    assert finalize(acc, 1).mse == float(((1 << 24) - 1) ** 2)
+
+
+def test_sum_squares_matches_python_ints():
+    rng = np.random.default_rng(6)
+    values = rng.integers(0, 1 << 32, size=(4, 3, 4, 5), dtype=np.int64)
+    values[0] = (1 << 32) - 1
+    blocks = sum_squares(values, axis=(1, 3))
+    for ia in range(4):
+        for ib in range(4):
+            want = sum(int(v) ** 2 for v in values[ia, :, ib, :].ravel())
+            assert blocks[ia, ib] == want
+    assert sum_squares(values) == sum(int(v) ** 2 for v in values.ravel())
+
+
+def test_sweeps_reject_width_above_limit_before_evaluating(monkeypatch):
+    def never(*_args):
+        raise AssertionError("evaluated a grid that is too wide to sweep")
+    monkeypatch.setattr(axmul.metrics, "eval_multiply_many", never)
+    monkeypatch.setattr(axmul.clustering, "eval_multiply_many", never)
+    grid = build_multiplier(MultiplierConfig(MAX_SWEEP_WIDTH + 1, "exact", 0),
+                            EXACT_LIB)
+    for sweep in (exhaustive_sweep, cluster_sweep, ed_histogram):
+        with pytest.raises(ValueError, match="widths up to 12"):
+            sweep(grid)
