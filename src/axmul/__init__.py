@@ -13,7 +13,7 @@ from .designspace import (AMA_TYPES, DEGREE_BITS, DesignId, SelectionMap,
 from .fabric import (AdderCell, CellGrid, MultiplierConfig, build_multiplier,
                      cell_weight_map, eval_multiply, eval_multiply_many,
                      exact_multiply)
-from .metrics import (EvalOutcome, MetricAccumulator, MetricReport, accumulate,
-                      exhaustive_sweep, finalize, merge, psnr_from_mse)
+from .metrics import (MetricAccumulator, MetricReport, exhaustive_sweep,
+                      finalize, merge, psnr_from_mse)
 
 __version__ = "0.1.0"

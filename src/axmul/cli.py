@@ -23,12 +23,11 @@ from .adders import (AdderFormatError, AdderLibrary, UnknownAdderError,
                      error_profile, load_library)
 from .clustering import (ClusterSpec, cluster_csv, cluster_matrix, cluster_sweep,
                          ed_histogram, histogram_csv)
-from .designspace import (DEGREE_BITS, SelectionPolicy,
+from .designspace import (DEGREE_BITS, SelectionPolicy, analyze_design,
                           library_metrics_table, select_per_cluster,
                           selection_csv, selection_summary, table_csv)
 from .fabric import MultiplierConfig, build_multiplier
-from .metrics import (finalize, fmt6, merge, report_csv_header,
-                      report_csv_row, sweep_chunk, sweep_chunk_bounds)
+from .metrics import fmt6, report_csv_header, report_csv_row
 
 ENV_LIBRARY = "AXMUL_LIBRARY"
 DEFAULT_FORMATS = ("csv", "json", "svg")
@@ -100,7 +99,9 @@ def _add_common(sub, with_design=False):
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument("--format", default="csv,json,svg",
                      help="comma list from csv,json,svg")
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--workers", type=int, default=1,
+                     help="processes for table and select, one design per "
+                          "job; other commands evaluate one design in-process")
     sub.add_argument("--architecture", choices=("row_ripple", "carry_save"),
                      default="row_ripple",
                      help="array layout (default: row_ripple, which the "
@@ -201,34 +202,10 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _swept_accumulator(cfg: RunConfig, grid):
-    bounds = sweep_chunk_bounds(grid.width)
-    if cfg.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(_chunk_job, [(grid, lo, hi) for lo, hi in bounds]))
-    else:
-        parts = [sweep_chunk(grid, lo, hi) for lo, hi in bounds]
-    acc = parts[0]
-    for part in parts[1:]:
-        acc = merge(acc, part)
-    return acc
-
-
-def _chunk_job(job):
-    grid, lo, hi = job
-    return sweep_chunk(grid, lo, hi)
-
-
 def cmd_sweep(args) -> int:
     cfg = _run_config(args)
     name, config = _design_config(cfg, args)
-    grid = build_multiplier(config, cfg.library)
-    acc = _swept_accumulator(cfg, grid)
-    pmax = ((1 << config.width) - 1) ** 2
-    clusters = cluster_sweep(grid, spec=ClusterSpec(config.width, cfg.cluster_size))
-    report = finalize(acc, pmax).with_cluster_averages(
-        clusters.ned_avg, clusters.psnr_avg)
+    report, _ = analyze_design(config, cfg.library, cfg.cluster_size)
 
     if "json" in cfg.formats:
         _write(cfg, f"sweep_{name}.json", _json_text(report.to_dict()))

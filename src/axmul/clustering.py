@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fabric import CellGrid, eval_multiply_many
-from .metrics import check_sweep_width, fmt6, psnr_from_mse, sum_squares
+from .metrics import (MetricAccumulator, accumulate_arrays, chunk_operands,
+                      combine_squares, fmt6, merge, psnr_from_mse,
+                      square_partials, sweep_chunk_bounds)
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,7 @@ class ClusterCell:
 class ClusterReport:
     spec: ClusterSpec
     cells: tuple[ClusterCell, ...]    # row-major: ia * grid_side + ib
+    totals: MetricAccumulator         # the whole-domain sweep the cells came from
 
     def cell(self, ia: int, ib: int) -> ClusterCell:
         return self.cells[ia * self.spec.grid_side + ib]
@@ -98,36 +101,52 @@ class ClusterReport:
         return sum(1 for c in self.cells if c.psnr < threshold)
 
 
+def chunk_products(grid: CellGrid, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact and approximate products of one sweep chunk, each (hi - lo, 2^n)."""
+    xs, ys = chunk_operands(grid.width, lo, hi)
+    return xs * ys, eval_multiply_many(grid, xs, ys)
+
+
 def cluster_sweep(grid: CellGrid, n: int | None = None,
                   spec: ClusterSpec | None = None) -> ClusterReport:
-    """Aggregate every s*s operand block of the exhaustive sweep."""
+    """Aggregate every s*s operand block, and the whole domain, in one sweep.
+
+    Each first-operand chunk is evaluated once.  It is merged into the
+    global accumulator in chunk order (so `totals` equals
+    `exhaustive_sweep`) and folded into per-block ED sums and int64
+    squared-ED partials; a block taller than a chunk collects several
+    chunks.  The partials become exact Python ints once, at the end.
+    """
     if n is not None and n != grid.width:
         raise ValueError(f"sweep width {n} does not match grid width {grid.width}")
     if spec is None:
         spec = ClusterSpec(grid.width)
     elif spec.width != grid.width:
         raise ValueError("cluster spec width does not match grid width")
-    check_sweep_width(grid.width)
+    bounds = sweep_chunk_bounds(grid.width)
 
-    side = 1 << grid.width
     s = spec.cluster_size
     g = spec.grid_side
-
-    xs, ys = np.meshgrid(np.arange(side, dtype=np.int64),
-                         np.arange(side, dtype=np.int64), indexing="ij")
-    exact = xs * ys
-    ed = np.abs(exact - eval_multiply_many(grid, xs, ys))
-
-    blocks = ed.reshape(g, s, g, s)
-    sum_ed = blocks.sum(axis=(1, 3))
-    sum_ed_sq = sum_squares(blocks, axis=(1, 3))
+    totals = MetricAccumulator()
+    sum_ed = np.zeros((g, g), dtype=np.int64)
+    sq_parts = np.zeros((3, g, g), dtype=np.int64)
+    for lo, hi in bounds:
+        exact, approx = chunk_products(grid, lo, hi)
+        totals = merge(totals, accumulate_arrays(exact, approx))
+        rows = min(s, hi - lo)   # operand rows per block within this chunk
+        blocks = np.abs(exact - approx).reshape(-1, rows, g, s)
+        ia = slice(lo // s, lo // s + blocks.shape[0])
+        sum_ed[ia] += blocks.sum(axis=(1, 3))
+        sq_parts[:, ia] += square_partials(blocks, axis=(1, 3))
 
     pairs = s * s
+    block_sums = sum_ed.tolist()
+    block_squares = combine_squares(*sq_parts.astype(object)).tolist()
     cells = []
     for ia in range(g):
         for ib in range(g):
-            block_sum = int(sum_ed[ia, ib])
-            block_sq = int(sum_ed_sq[ia, ib])
+            block_sum = block_sums[ia][ib]
+            block_sq = block_squares[ia][ib]
             mean_ed = block_sum / pairs
             mse = block_sq / pairs
             pmax = (s * ia + s - 1) * (s * ib + s - 1)
@@ -142,7 +161,7 @@ def cluster_sweep(grid: CellGrid, n: int | None = None,
                 sum_ed=block_sum,
                 sum_ed_sq=block_sq,
             ))
-    return ClusterReport(spec, tuple(cells))
+    return ClusterReport(spec, tuple(cells), totals)
 
 
 def threshold_counts(report: ClusterReport, ned_threshold: float,
@@ -184,31 +203,38 @@ def ed_histogram(grid: CellGrid, n: int | None = None,
                  bin_width: int | None = None) -> EdHistogram:
     """Tally ED over all 2^(2n) pairs into contiguous fixed-width bins.
 
-    Default bin width is max(1, ceil(max_ed / 64)), sized for plotting.
+    Streams the sweep chunks into exact per-ED counts (ED < 4^n), then
+    bins them.  Default bin width is max(1, ceil(max_ed / 64)), sized for
+    plotting.
     """
     if n is not None and n != grid.width:
         raise ValueError(f"sweep width {n} does not match grid width {grid.width}")
     if bin_width is not None and bin_width < 1:
         raise ValueError(f"bin width must be >= 1, got {bin_width}")
-    check_sweep_width(grid.width)
+    bounds = sweep_chunk_bounds(grid.width)
 
-    side = 1 << grid.width
-    xs, ys = np.meshgrid(np.arange(side, dtype=np.int64),
-                         np.arange(side, dtype=np.int64), indexing="ij")
-    ed = np.abs(xs * ys - eval_multiply_many(grid, xs, ys)).ravel()
+    counts = np.zeros(1 << 2 * grid.width, dtype=np.int64)
+    sum_ed = 0
+    for lo, hi in bounds:
+        exact, approx = chunk_products(grid, lo, hi)
+        ed = np.abs(exact - approx).ravel()
+        part = np.bincount(ed)
+        counts[:part.size] += part
+        sum_ed += int(ed.sum())
 
-    max_ed = int(ed.max(initial=0))
+    seen = np.flatnonzero(counts)
+    min_ed, max_ed = int(seen[0]), int(seen[-1])
     if bin_width is None:
         bin_width = max(1, math.ceil(max_ed / 64))
-    counts = np.bincount(ed // bin_width)
-    bins = tuple((k * bin_width, int(c)) for k, c in enumerate(counts))
+    binned = np.add.reduceat(counts[:max_ed + 1], np.arange(0, max_ed + 1, bin_width))
+    total = int(counts.sum())
     return EdHistogram(
         bin_width=bin_width,
-        bins=bins,
-        total_count=int(ed.size),
-        min_ed=int(ed.min(initial=0)),
+        bins=tuple((k * bin_width, int(c)) for k, c in enumerate(binned)),
+        total_count=total,
+        min_ed=min_ed,
         max_ed=max_ed,
-        mean_ed=float(ed.mean()) if ed.size else 0.0,
+        mean_ed=sum_ed / total,
     )
 
 

@@ -1,18 +1,24 @@
 """Error metrics over exhaustive operand sweeps.
 
-Sufficient statistics are collected in a mergeable accumulator so a sweep
-can be partitioned arbitrarily and reduced deterministically: all counts
-and distance sums are exact integers, only the relative-error sum is a
-float.  The squared-distance sum outgrows 63 bits (AMA2 at width 12
-reaches about 2^68.6), so it goes through `sum_squares`, which never
-forms a sum that int64 could wrap.
+A sweep walks the fixed first-operand chunks of `sweep_chunk_bounds` and
+merges each chunk's mergeable accumulator in chunk order.  The commands
+sweep through `clustering.cluster_sweep`, which evaluates each chunk once
+and derives these totals and the per-block sums from it;
+`exhaustive_sweep` here is the plain reduction it is checked against.
+All counts and distance sums are exact integers; the relative-error sum
+`sum_red` is a float and so depends on the merge order, but the partition
+depends only on the width, so a sweep reduces to the same bytes on every
+run.  The squared-distance sum outgrows 63 bits (AMA2 at width 12 reaches
+about 2^68.6), so it goes through `square_partials`, which never forms a
+sum that int64 could wrap.
 
-Exhaustive sweeps stop at MAX_SWEEP_WIDTH: a sweep holds int64 arrays over
-4^n operand pairs (a first-operand chunk, or the whole domain for the
-per-block and histogram reductions), about 128 MB each at width 12 and
-512 MB at width 13, so wider sweeps are refused before anything is
-allocated.  Grids wider than that (up to fabric.MAX_WIDTH) can still be
-built and evaluated on chosen operand pairs.
+Exhaustive sweeps stop at MAX_SWEEP_WIDTH.  Memory is bounded by one
+chunk (1/16 of the 4^n pairs) plus the per-block sums, so a width-12
+sweep peaks at about 130 MB RSS (the ED histogram also keeps 4^n counts,
+about 270 MB); each added bit multiplies both by four, so wider sweeps
+are refused before anything is allocated.  Grids wider than that (up to
+fabric.MAX_WIDTH) can still be built and evaluated on chosen operand
+pairs.
 """
 
 from __future__ import annotations
@@ -29,18 +35,6 @@ MAX_SWEEP_WIDTH = 12
 
 
 @dataclass(frozen=True)
-class EvalOutcome:
-    x: int
-    y: int
-    exact: int
-    approx: int
-
-    @property
-    def ed(self) -> int:
-        return abs(self.exact - self.approx)
-
-
-@dataclass(frozen=True)
 class MetricAccumulator:
     count: int = 0
     err_count: int = 0
@@ -49,19 +43,6 @@ class MetricAccumulator:
     max_ed: int = 0
     sum_red: float = 0.0
     red_count: int = 0
-
-
-def accumulate(acc: MetricAccumulator, outcome: EvalOutcome) -> MetricAccumulator:
-    ed = outcome.ed
-    return MetricAccumulator(
-        count=acc.count + 1,
-        err_count=acc.err_count + (1 if ed else 0),
-        sum_ed=acc.sum_ed + ed,
-        sum_ed_sq=acc.sum_ed_sq + ed * ed,
-        max_ed=max(acc.max_ed, ed),
-        sum_red=acc.sum_red + (ed / outcome.exact if outcome.exact > 0 else 0.0),
-        red_count=acc.red_count + (1 if outcome.exact > 0 else 0),
-    )
 
 
 def merge(a: MetricAccumulator, b: MetricAccumulator) -> MetricAccumulator:
@@ -93,30 +74,28 @@ def accumulate_arrays(exact: np.ndarray, approx: np.ndarray) -> MetricAccumulato
     )
 
 
-def sum_squares(values: np.ndarray, axis=None):
-    """Exact sum of squares of integers in [0, 2^32), as Python ints.
+def square_partials(values: np.ndarray, axis=None) -> np.ndarray:
+    """int64 partial sums that `combine_squares` turns into an exact sum of squares.
 
-    Each value is split as hi * 2^16 + lo, so every product summed is
-    below 2^32 and each int64 partial sum stays below 2^63 for fewer than
-    2^31 values; the three partial sums are recombined as Python ints.
-    With `axis`, returns an object array of Python ints.
+    Each integer in [0, 2^32) is split as hi * 2^16 + lo, so every product
+    summed is below 2^32 and each of the three partials (hi*hi, hi*lo,
+    lo*lo, stacked on a new leading axis) stays below 2^63 for fewer than
+    2^31 values, even when partials of several chunks are added up.
     """
     hi = (values >> 16).astype(np.uint32)
     lo = (values & 0xFFFF).astype(np.uint32)
-    hh, hl, ll = ((p * q).sum(axis=axis, dtype=np.int64)
-                  for p, q in ((hi, hi), (hi, lo), (lo, lo)))
-    if axis is None:
-        hh, hl, ll = int(hh), int(hl), int(ll)
-    else:
-        hh, hl, ll = hh.astype(object), hl.astype(object), ll.astype(object)
+    return np.stack([(p * q).sum(axis=axis, dtype=np.int64)
+                     for p, q in ((hi, hi), (hi, lo), (lo, lo))])
+
+
+def combine_squares(hh, hl, ll):
+    """Recombine `square_partials` given as Python ints (or object arrays of them)."""
     return (hh << 32) + (hl << 17) + ll
 
 
-def check_sweep_width(n: int) -> None:
-    if n > MAX_SWEEP_WIDTH:
-        raise ValueError(
-            f"exhaustive sweeps support widths up to {MAX_SWEEP_WIDTH}, got {n}: "
-            f"arrays over all 4^{n} operand pairs would take several GB")
+def sum_squares(values: np.ndarray) -> int:
+    """Exact sum of squares of integers in [0, 2^32), as a Python int."""
+    return combine_squares(*square_partials(values).tolist())
 
 
 def psnr_from_mse(mse: float) -> float:
@@ -181,29 +160,41 @@ def finalize(acc: MetricAccumulator, pmax: int) -> MetricReport:
 def sweep_chunk_bounds(n: int) -> list[tuple[int, int]]:
     """Fixed first-operand partition of the sweep domain.
 
-    Chunking depends only on the width, never on worker count, so any
-    parallel schedule reduces to the same merge order.  Widths above
+    Chunking depends only on the width, so every sweep of a design merges
+    the same chunks in the same order.  Widths above
     MAX_SWEEP_WIDTH are rejected here, before any sweep allocates.
     """
-    check_sweep_width(n)
+    if n > MAX_SWEEP_WIDTH:
+        raise ValueError(
+            f"exhaustive sweeps support widths up to {MAX_SWEEP_WIDTH}, got {n}")
     side = 1 << n
     chunks = min(16, side)
     step = side // chunks
     return [(lo, lo + step) for lo in range(0, side, step)]
 
 
+def chunk_operands(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Operands of one sweep chunk: first operand in [lo, hi), every second one.
+
+    Both arrays have shape (hi - lo, 2^n), broadcast views with row x - lo
+    holding (x, y) for y = 0 .. 2^n - 1.
+    """
+    return np.broadcast_arrays(np.arange(lo, hi, dtype=np.int64)[:, None],
+                               np.arange(1 << n, dtype=np.int64))
+
+
 def sweep_chunk(grid: CellGrid, lo: int, hi: int) -> MetricAccumulator:
     """Accumulate outcomes for first operand in [lo, hi), all second operands."""
-    side = 1 << grid.width
-    xs = np.repeat(np.arange(lo, hi, dtype=np.int64), side)
-    ys = np.tile(np.arange(side, dtype=np.int64), hi - lo)
-    exact = xs * ys
-    approx = eval_multiply_many(grid, xs, ys)
-    return accumulate_arrays(exact, approx)
+    xs, ys = chunk_operands(grid.width, lo, hi)
+    return accumulate_arrays(xs * ys, eval_multiply_many(grid, xs, ys))
 
 
 def exhaustive_sweep(grid: CellGrid, n: int | None = None) -> MetricAccumulator:
-    """Accumulate all 2^(2n) ordered operand pairs."""
+    """Accumulate all 2^(2n) ordered operand pairs, chunk by chunk.
+
+    The plain reduction that `clustering.cluster_sweep(...).totals` must
+    equal field for field.
+    """
     if n is not None and n != grid.width:
         raise ValueError(f"sweep width {n} does not match grid width {grid.width}")
     acc = MetricAccumulator()

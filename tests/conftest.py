@@ -1,7 +1,10 @@
 import random
+import sys
 
+import numpy as np
 import pytest
 
+from axmul import fabric
 from axmul.adders import AdderLibrary, FullAdderSpec
 
 
@@ -25,3 +28,25 @@ def small_library(zero_adder):
     return AdderLibrary([zero_adder,
                          random_adder("RND1", rng),
                          random_adder("RND2", rng)])
+
+
+@pytest.fixture
+def eval_pair_counts(monkeypatch):
+    """Pair count of every `eval_multiply_many` call made through the package.
+
+    The evaluator is replaced under every name an axmul module binds it
+    to, so no sweep path can evaluate without being counted.
+    """
+    original = fabric.eval_multiply_many
+    counts = []
+
+    def counted(grid, xs, ys):
+        counts.append(int(np.asarray(xs).size))
+        return original(grid, xs, ys)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("axmul.") and name != "axmul.fabric":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts

@@ -1,16 +1,44 @@
 """Independent brute-force oracles.
 
 Everything here recomputes results pair by pair through the scalar
-evaluator and plain arithmetic, deliberately avoiding the accumulator,
-the vectorized sweep and the cluster reduction, so tests compare two
-genuinely different routes.
+evaluator and plain arithmetic, deliberately avoiding the vectorized
+sweep and the cluster reduction, so tests compare two genuinely
+different routes.  `accumulate` is the scalar reference for the sweep's
+accumulator: it folds one operand pair at a time into a MetricAccumulator.
 """
 
 import math
+from dataclasses import dataclass
 
 from axmul.fabric import CellGrid, eval_multiply
+from axmul.metrics import MetricAccumulator
 
 PEAK_SQ = 255 * 255
+
+
+@dataclass(frozen=True)
+class EvalOutcome:
+    x: int
+    y: int
+    exact: int
+    approx: int
+
+    @property
+    def ed(self) -> int:
+        return abs(self.exact - self.approx)
+
+
+def accumulate(acc: MetricAccumulator, outcome: EvalOutcome) -> MetricAccumulator:
+    ed = outcome.ed
+    return MetricAccumulator(
+        count=acc.count + 1,
+        err_count=acc.err_count + (1 if ed else 0),
+        sum_ed=acc.sum_ed + ed,
+        sum_ed_sq=acc.sum_ed_sq + ed * ed,
+        max_ed=max(acc.max_ed, ed),
+        sum_red=acc.sum_red + (ed / outcome.exact if outcome.exact > 0 else 0.0),
+        red_count=acc.red_count + (1 if outcome.exact > 0 else 0),
+    )
 
 
 def oracle_pairs(grid: CellGrid):

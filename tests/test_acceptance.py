@@ -26,10 +26,11 @@ from axmul.clustering import ClusterSpec, cluster_sweep, ed_histogram
 from axmul.designspace import design_id, library_metrics_table
 from axmul.fabric import (MultiplierConfig, build_multiplier,
                           eval_multiply_many)
-from axmul.metrics import (MetricAccumulator, EvalOutcome, accumulate,
-                           exhaustive_sweep, finalize, merge, psnr_from_mse)
+from axmul.metrics import (MetricAccumulator, exhaustive_sweep, finalize, merge,
+                           psnr_from_mse)
 from conftest import random_adder
-from oracles import oracle_clusters, oracle_histogram, oracle_metrics
+from oracles import (EvalOutcome, accumulate, oracle_clusters, oracle_histogram,
+                     oracle_metrics)
 
 import numpy as np
 

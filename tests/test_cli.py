@@ -153,6 +153,18 @@ def test_sweeps_above_width_12_are_usage_errors(exact_lib_file, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "clusters", "histogram"])
+@pytest.mark.parametrize("width", [4, 8])
+def test_commands_evaluate_each_pair_once(zero_lib_file, tmp_path, command,
+                                          width, eval_pair_counts):
+    code = main([command, "--library", zero_lib_file, "--width", str(width),
+                 "--type", "ZERO", "--degree", str(width), "--out",
+                 str(tmp_path), "--workers", "2"])
+    assert code == 0
+    assert sum(eval_pair_counts) == 4 ** width
+    assert max(eval_pair_counts) <= 4 ** width // 16
+
+
 def test_table_filters(fake_ama_file, tmp_path, capsys):
     out = tmp_path / "t"
     assert main(["table", "--library", fake_ama_file, "--type", "AMA5",

@@ -6,10 +6,12 @@ import pytest
 from axmul.adders import AdderLibrary
 from axmul.clustering import ClusterCell, ClusterReport, ClusterSpec, cluster_sweep
 from axmul.designspace import (AMA_TYPES, DEGREE_BITS, DesignId,
-                               SelectionPolicy, design_id, enumerate_library,
-                               library_metrics_table, select_per_cluster,
-                               selection_csv, selection_summary, table_csv)
+                               SelectionPolicy, analyze_design, design_id,
+                               enumerate_library, library_metrics_table,
+                               select_per_cluster, selection_csv,
+                               selection_summary, table_csv)
 from axmul.fabric import MultiplierConfig, build_multiplier
+from axmul.metrics import MetricAccumulator
 from conftest import random_adder
 
 
@@ -66,7 +68,7 @@ def synth_report(neds, side=2, psnrs=None):
             cells.append(ClusterCell(ia, ib, mean_ed=ned, pmax_cluster=1,
                                      ned=ned, mse=1.0, psnr=psnr,
                                      sum_ed=0, sum_ed_sq=0))
-    return ClusterReport(ClusterSpec(2, 2), tuple(cells))
+    return ClusterReport(ClusterSpec(2, 2), tuple(cells), MetricAccumulator())
 
 
 def toy_designs():
@@ -205,3 +207,12 @@ def test_table_rows_deterministic_and_ordered():
     assert all(r.report.ned_clustered_avg is not None for r in rows1)
     for row in rows1:
         assert row.config.degree == DEGREE_BITS[row.design.degree_knob]
+
+
+@pytest.mark.parametrize("cluster_size", [2, 16, 64])
+def test_analyze_design_evaluates_each_pair_once(cluster_size, eval_pair_counts):
+    config = MultiplierConfig(8, "AMA1", 9)
+    report, clusters = analyze_design(config, fake_ama_library(), cluster_size)
+    assert sum(eval_pair_counts) == 4 ** 8
+    assert max(eval_pair_counts) <= 4 ** 8 // 16
+    assert report.count == clusters.totals.count == 4 ** 8

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from axmul.adders import AdderLibrary, FullAdderSpec, UnknownAdderError
+from axmul.clustering import ClusterSpec, cluster_sweep, ed_histogram
 from axmul.fabric import (ARCHITECTURES, HALF_ADDER_MODES, MultiplierConfig,
                           build_multiplier, cell_weight_map, eval_multiply,
                           eval_multiply_many, exact_multiply, grid_csv)
+from axmul.metrics import exhaustive_sweep, finalize
 from conftest import random_adder
 
 EXACT_LIB = AdderLibrary()
@@ -142,6 +144,38 @@ def test_eval_many_matches_scalar_property(data, width, sum_bits, cout_bits,
     assert batch.ravel().tolist() == scalar
     if degree == 0:
         assert np.array_equal(batch, xs * ys)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data(), width=st.integers(2, 6), sum_bits=bit_tables,
+       cout_bits=bit_tables, architecture=st.sampled_from(ARCHITECTURES))
+def test_cluster_sweep_totals_equal_exhaustive_sweep_property(
+        data, width, sum_bits, cout_bits, architecture):
+    # cluster sizes 1..2^n give blocks shorter than, as tall as and taller
+    # than a sweep chunk (2^n / 16 first operands, at least one)
+    size = 1 << data.draw(st.integers(0, width), label="log2 cluster size")
+    degree = data.draw(st.integers(0, 2 * width), label="degree")
+    lib = AdderLibrary([FullAdderSpec("R", sum_bits, cout_bits)])
+    grid = build(width, "R", degree, library=lib, architecture=architecture)
+    report = cluster_sweep(grid, spec=ClusterSpec(width, size))
+    totals, swept = report.totals, exhaustive_sweep(grid)
+
+    for f in ("count", "err_count", "sum_ed", "sum_ed_sq", "max_ed", "red_count"):
+        assert getattr(totals, f) == getattr(swept, f)
+    assert totals.sum_red.hex() == swept.sum_red.hex()
+
+    side = 1 << width
+    xs, ys = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+    ed = np.abs(xs * ys - eval_multiply_many(grid, xs, ys))
+    for cell in report.cells:
+        block = ed[cell.ia * size:(cell.ia + 1) * size,
+                   cell.ib * size:(cell.ib + 1) * size].ravel().tolist()
+        assert cell.sum_ed == sum(block)
+        assert cell.sum_ed_sq == sum(e * e for e in block)
+    assert sum(c.sum_ed for c in report.cells) == totals.sum_ed
+    assert sum(c.sum_ed_sq for c in report.cells) == totals.sum_ed_sq
+    pmax = (side - 1) ** 2
+    assert ed_histogram(grid).mean_ed == finalize(totals, pmax).med
 
 
 def test_weight_rule_cell_assignment():

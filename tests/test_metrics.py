@@ -9,12 +9,12 @@ import axmul.metrics
 from axmul.adders import AdderLibrary
 from axmul.clustering import cluster_sweep, ed_histogram
 from axmul.fabric import MultiplierConfig, build_multiplier, eval_multiply
-from axmul.metrics import (MAX_SWEEP_WIDTH, EvalOutcome, MetricAccumulator,
-                           accumulate, accumulate_arrays, exhaustive_sweep,
-                           finalize, merge, psnr_from_mse, sum_squares,
-                           sweep_chunk, sweep_chunk_bounds)
+from axmul.metrics import (MAX_SWEEP_WIDTH, MetricAccumulator,
+                           accumulate_arrays, combine_squares, exhaustive_sweep,
+                           finalize, merge, psnr_from_mse, square_partials,
+                           sum_squares, sweep_chunk, sweep_chunk_bounds)
 from conftest import random_adder
-from oracles import oracle_metrics
+from oracles import EvalOutcome, accumulate, oracle_metrics
 
 EXACT_LIB = AdderLibrary()
 
@@ -199,11 +199,12 @@ def test_sum_squares_matches_python_ints():
     rng = np.random.default_rng(6)
     values = rng.integers(0, 1 << 32, size=(4, 3, 4, 5), dtype=np.int64)
     values[0] = (1 << 32) - 1
-    blocks = sum_squares(values, axis=(1, 3))
+    blocks = square_partials(values, axis=(1, 3))
+    assert blocks.shape == (3, 4, 4)
     for ia in range(4):
         for ib in range(4):
             want = sum(int(v) ** 2 for v in values[ia, :, ib, :].ravel())
-            assert blocks[ia, ib] == want
+            assert combine_squares(*blocks[:, ia, ib].tolist()) == want
     assert sum_squares(values) == sum(int(v) ** 2 for v in values.ravel())
 
 
