@@ -176,6 +176,9 @@ def test_cluster_sweep_totals_equal_exhaustive_sweep_property(
     assert sum(c.sum_ed_sq for c in report.cells) == totals.sum_ed_sq
     pmax = (side - 1) ** 2
     assert ed_histogram(grid).mean_ed == finalize(totals, pmax).med
+    hist = ed_histogram(grid, bin_width=1)
+    assert (hist.min_ed, hist.max_ed) == (int(ed.min()), int(ed.max()))
+    assert [count for _, count in hist.bins] == np.bincount(ed.ravel()).tolist()
 
 
 def test_weight_rule_cell_assignment():
