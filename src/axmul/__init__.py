@@ -4,8 +4,8 @@ from .adders import (AdderErrorProfile, AdderFormatError, AdderLibrary,
                      FullAdderSpec, UnknownAdderError, dump_library,
                      error_profile, eval_adder, exact_full_adder,
                      load_library, load_library_file)
-from .clustering import (ClusterCell, ClusterReport, ClusterSpec, EdHistogram,
-                         cluster_sweep, ed_histogram, threshold_counts)
+from .clustering import (ClusterReport, ClusterSpec, EdHistogram, cluster_sweep,
+                         ed_histogram)
 from .designspace import (AMA_TYPES, DEGREE_BITS, DesignId, SelectionMap,
                           SelectionPolicy, TableRow, analyze_design, design_id,
                           enumerate_library, library_metrics_table,

@@ -252,8 +252,8 @@ def cmd_table(args) -> int:
 def cmd_clusters(args) -> int:
     cfg = _run_config(args)
     name, config = _design_config(cfg, args)
-    grid = build_multiplier(config, cfg.library)
-    report = cluster_sweep(grid, spec=ClusterSpec(config.width, cfg.cluster_size))
+    spec = ClusterSpec(config.width, cfg.cluster_size)
+    report = cluster_sweep(build_multiplier(config, cfg.library), spec=spec)
 
     if "csv" in cfg.formats:
         _write(cfg, f"clusters_{name}.csv", cluster_csv(report))

@@ -11,13 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .fabric import CellGrid, eval_multiply_many
-from .metrics import (MetricAccumulator, accumulate_arrays, chunk_operands,
-                      combine_squares, fmt6, merge, psnr_from_mse,
+from .metrics import (PEAK_SQUARED, MetricAccumulator, accumulate_arrays,
+                      chunk_operands, combine_squares, fmt6, merge,
                       square_partials, sweep_chunk_bounds)
+
+
+MAX_BLOCKS = 1 << 20   # grid side <= 1024; the report keeps a row per block
 
 
 @dataclass(frozen=True)
@@ -30,6 +34,10 @@ class ClusterSpec:
         if self.cluster_size < 1 or side % self.cluster_size:
             raise ValueError(
                 f"cluster size {self.cluster_size} must divide 2^{self.width}")
+        if self.total_clusters > MAX_BLOCKS:
+            raise ValueError(
+                f"cluster size {self.cluster_size} at width {self.width} gives "
+                f"{self.total_clusters} blocks; at most {MAX_BLOCKS} are supported")
 
     @property
     def grid_side(self) -> int:
@@ -40,65 +48,55 @@ class ClusterSpec:
         return self.grid_side ** 2
 
 
-@dataclass(frozen=True)
-class ClusterCell:
-    """Aggregates of one s*s block of operand pairs.
+@dataclass(frozen=True, eq=False)
+class ClusterReport:
+    """Aggregates of every s*s operand block, one structured-array row each.
 
-    `mse` is the raw mean squared ED (its count-weighted mean over all
-    blocks reproduces the global MSE exactly).  `psnr` judges the block
-    as an image scaled to its own peak product: the EDs are mapped onto
-    the 0..255 range by 255/pmax_cluster before squaring, which is what
-    makes blocks of small operands comparable to blocks of large ones.
+    `cells` is row-major (row ia * grid_side + ib) with the fields ia, ib
+    (block indices of the first and second operand), mean_ed,
+    pmax_cluster, ned, mse, psnr and the exact integer masses sum_ed and
+    sum_ed_sq (int64, or Python ints where a block's sum reaches 2^63).
+    `mse` is the raw mean squared ED, so its mean over all blocks is the
+    global MSE.  `psnr` judges the block as an image scaled to its own
+    peak product: the EDs are mapped onto 0..255 by 255/pmax_cluster
+    before squaring, which makes blocks of small operands comparable to
+    blocks of large ones.
     """
 
-    ia: int                 # first-operand block index
-    ib: int                 # second-operand block index
-    mean_ed: float
-    pmax_cluster: int
-    ned: float
-    mse: float
-    psnr: float
-    sum_ed: int             # exact integer mass, kept for conservation checks
-    sum_ed_sq: int
-
-
-@dataclass(frozen=True)
-class ClusterReport:
     spec: ClusterSpec
-    cells: tuple[ClusterCell, ...]    # row-major: ia * grid_side + ib
+    cells: np.ndarray
     totals: MetricAccumulator         # the whole-domain sweep the cells came from
 
-    def cell(self, ia: int, ib: int) -> ClusterCell:
-        return self.cells[ia * self.spec.grid_side + ib]
-
+    # The averages use Python's sequential float sum, not numpy's pairwise
+    # one: the printed values depend on the summation order.
     @property
     def ned_avg(self) -> float:
-        return sum(c.ned for c in self.cells) / len(self.cells)
+        return sum(self.cells["ned"].tolist()) / len(self.cells)
 
     @property
     def ned_max(self) -> float:
-        return max(c.ned for c in self.cells)
+        return float(self.cells["ned"].max())
+
+    def _finite_psnr(self) -> np.ndarray:
+        psnr = self.cells["psnr"]
+        return psnr[psnr != math.inf]
 
     @property
     def psnr_avg(self) -> float:
         """Mean over finite-PSNR cells; +inf cells are reported separately."""
-        finite = [c.psnr for c in self.cells if c.psnr != math.inf]
+        finite = self._finite_psnr().tolist()
         return sum(finite) / len(finite) if finite else math.inf
 
     @property
     def psnr_min(self) -> float:
-        finite = [c.psnr for c in self.cells if c.psnr != math.inf]
-        return min(finite) if finite else math.inf
-
-    @property
-    def infinite_psnr_count(self) -> int:
-        return sum(1 for c in self.cells if c.psnr == math.inf)
+        finite = self._finite_psnr()
+        return float(finite.min()) if finite.size else math.inf
 
     def count_ned_over(self, threshold: float) -> int:
-        return sum(1 for c in self.cells if c.ned > threshold)
+        return int(np.count_nonzero(self.cells["ned"] > threshold))
 
     def count_psnr_under(self, threshold: float) -> int:
-        return sum(1 for c in self.cells if c.psnr < threshold)
+        return int(np.count_nonzero(self.cells["psnr"] < threshold))
 
 
 def chunk_products(grid: CellGrid, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -107,18 +105,15 @@ def chunk_products(grid: CellGrid, lo: int, hi: int) -> tuple[np.ndarray, np.nda
     return xs * ys, eval_multiply_many(grid, xs, ys)
 
 
-def cluster_sweep(grid: CellGrid, n: int | None = None,
-                  spec: ClusterSpec | None = None) -> ClusterReport:
+def cluster_sweep(grid: CellGrid, spec: ClusterSpec | None = None) -> ClusterReport:
     """Aggregate every s*s operand block, and the whole domain, in one sweep.
 
     Each first-operand chunk is evaluated once.  It is merged into the
     global accumulator in chunk order (so `totals` equals
     `exhaustive_sweep`) and folded into per-block ED sums and int64
     squared-ED partials; a block taller than a chunk collects several
-    chunks.  The partials become exact Python ints once, at the end.
+    chunks.  `finish_blocks` turns the sums into the report's columns.
     """
-    if n is not None and n != grid.width:
-        raise ValueError(f"sweep width {n} does not match grid width {grid.width}")
     if spec is None:
         spec = ClusterSpec(grid.width)
     elif spec.width != grid.width:
@@ -138,55 +133,72 @@ def cluster_sweep(grid: CellGrid, n: int | None = None,
         ia = slice(lo // s, lo // s + blocks.shape[0])
         sum_ed[ia] += blocks.sum(axis=(1, 3))
         sq_parts[:, ia] += square_partials(blocks, axis=(1, 3))
+    return ClusterReport(spec, finish_blocks(spec, sum_ed, sq_parts), totals)
 
+
+def finish_blocks(spec: ClusterSpec, sum_ed: np.ndarray,
+                  sq_parts: np.ndarray) -> np.ndarray:
+    """The report's structured array from per-block ED sums and squared partials.
+
+    `sum_ed` is (grid_side, grid_side) and `sq_parts` the matching
+    `square_partials`, (3, grid_side, grid_side).  Every step rounds as
+    the scalar formulas do: a block holds a power-of-two number of pairs,
+    so int -> float conversion followed by `/ pairs` equals Python's
+    `int / int`, and the squaring of 255/pmax and the logarithm of the
+    PSNR go through libm (`pow`, `math.log10`), whose results numpy's own
+    `**` and `log10` do not always reproduce.
+    """
+    s, g = spec.cluster_size, spec.grid_side
     pairs = s * s
-    block_sums = sum_ed.tolist()
-    block_squares = combine_squares(*sq_parts.astype(object)).tolist()
-    cells = []
-    for ia in range(g):
-        for ib in range(g):
-            block_sum = block_sums[ia][ib]
-            block_sq = block_squares[ia][ib]
-            mean_ed = block_sum / pairs
-            mse = block_sq / pairs
-            pmax = (s * ia + s - 1) * (s * ib + s - 1)
-            scaled = mse * (255.0 / pmax) ** 2 if pmax else mse
-            cells.append(ClusterCell(
-                ia=ia, ib=ib,
-                mean_ed=mean_ed,
-                pmax_cluster=pmax,
-                ned=mean_ed / pmax if pmax else 0.0,
-                mse=mse,
-                psnr=psnr_from_mse(scaled),
-                sum_ed=block_sum,
-                sum_ed_sq=block_sq,
-            ))
-    return ClusterReport(spec, tuple(cells), totals)
+    sum_ed = sum_ed.ravel()
+    hh, hl, ll = sq_parts.reshape(3, -1)
+    bound = ((int(hh.max(initial=0)) << 32) + (int(hl.max(initial=0)) << 17)
+             + int(ll.max(initial=0)))
+    if bound >= 1 << 63:   # some block's sum may not fit int64: exact Python ints
+        hh, hl, ll = hh.astype(object), hl.astype(object), ll.astype(object)
+    sum_ed_sq = combine_squares(hh, hl, ll)
+    mean_ed = sum_ed / pairs
+    mse = (sum_ed_sq / pairs).astype(np.float64)
+    edge = s * np.arange(g, dtype=np.int64) + s - 1
+    pmax = np.multiply.outer(edge, edge).ravel()
+    ned = np.zeros_like(mean_ed)
+    factor = np.ones_like(mse)   # a block with pmax 0 keeps its raw MSE
+    scaled_blocks = pmax > 0
+    np.divide(mean_ed, pmax, out=ned, where=scaled_blocks)
+    factor[scaled_blocks] = list(map(pow, (255.0 / pmax[scaled_blocks]).tolist(),
+                                     repeat(2)))
+    scaled = mse * factor
+    psnr = np.full_like(mse, math.inf)
+    erring = scaled > 0
+    psnr[erring] = 10.0 * np.array(
+        list(map(math.log10, (PEAK_SQUARED / scaled[erring]).tolist())))
+
+    ia, ib = np.divmod(np.arange(g * g, dtype=np.int64), g)
+    columns = {"ia": ia, "ib": ib, "mean_ed": mean_ed, "pmax_cluster": pmax,
+               "ned": ned, "mse": mse, "psnr": psnr,
+               "sum_ed": sum_ed, "sum_ed_sq": sum_ed_sq}
+    cells = np.empty(g * g, dtype=[(name, col.dtype) for name, col in columns.items()])
+    for name, col in columns.items():
+        cells[name] = col
+    return cells
 
 
-def threshold_counts(report: ClusterReport, ned_threshold: float,
-                     psnr_threshold: float) -> tuple[int, int]:
-    """(# cells with ned > ned_threshold, # cells with psnr < psnr_threshold)."""
-    return (report.count_ned_over(ned_threshold),
-            report.count_psnr_under(psnr_threshold))
+CSV_FIELDS = ("ia", "ib", "mean_ed", "pmax_cluster", "ned", "mse", "psnr")
 
 
 def cluster_csv(report: ClusterReport) -> str:
-    lines = ["ia,ib,mean_ed,pmax_cluster,ned,mse,psnr"]
-    for c in report.cells:
-        lines.append(f"{c.ia},{c.ib},{fmt6(c.mean_ed)},{c.pmax_cluster},"
-                     f"{fmt6(c.ned)},{fmt6(c.mse)},{fmt6(c.psnr)}")
+    lines = [",".join(CSV_FIELDS)]
+    for ia, ib, mean_ed, pmax, ned, mse, psnr in report.cells[list(CSV_FIELDS)].tolist():
+        lines.append(f"{ia},{ib},{fmt6(mean_ed)},{pmax},"
+                     f"{fmt6(ned)},{fmt6(mse)},{fmt6(psnr)}")
     return "\n".join(lines) + "\n"
 
 
 def cluster_matrix(report: ClusterReport, field: str = "ned") -> str:
     """Whitespace matrix (one row per ia) for heat-map tooling."""
     g = report.spec.grid_side
-    rows = []
-    for ia in range(g):
-        rows.append(" ".join(fmt6(getattr(report.cell(ia, ib), field))
-                             for ib in range(g)))
-    return "\n".join(rows) + "\n"
+    rows = report.cells[field].reshape(g, g).tolist()
+    return "\n".join(" ".join(fmt6(v) for v in row) for row in rows) + "\n"
 
 
 @dataclass(frozen=True)
@@ -199,8 +211,7 @@ class EdHistogram:
     mean_ed: float
 
 
-def ed_histogram(grid: CellGrid, n: int | None = None,
-                 bin_width: int | None = None) -> EdHistogram:
+def ed_histogram(grid: CellGrid, bin_width: int | None = None) -> EdHistogram:
     """Tally ED over all 2^(2n) pairs into contiguous fixed-width bins.
 
     Streams the sweep chunks into exact per-ED counts (ED < 4^n), then
@@ -209,8 +220,6 @@ def ed_histogram(grid: CellGrid, n: int | None = None,
     zero pages, and the per-chunk work is fixed in size, so memory does
     not depend on which EDs the design produces.
     """
-    if n is not None and n != grid.width:
-        raise ValueError(f"sweep width {n} does not match grid width {grid.width}")
     if bin_width is not None and bin_width < 1:
         raise ValueError(f"bin width must be >= 1, got {bin_width}")
     bounds = sweep_chunk_bounds(grid.width)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .adders import AdderLibrary
 from .clustering import ClusterReport, ClusterSpec, cluster_sweep
 from .fabric import MultiplierConfig, build_multiplier
@@ -74,8 +76,8 @@ class TableRow:
 def analyze_design(config: MultiplierConfig, library: AdderLibrary,
                    cluster_size: int = 16) -> tuple[MetricReport, ClusterReport]:
     """One cluster sweep; its totals finalized, cluster averages attached."""
-    grid = build_multiplier(config, library)
-    clusters = cluster_sweep(grid, spec=ClusterSpec(config.width, cluster_size))
+    spec = ClusterSpec(config.width, cluster_size)   # refuses oversized grids
+    clusters = cluster_sweep(build_multiplier(config, library), spec=spec)
     pmax = ((1 << config.width) - 1) ** 2
     report = finalize(clusters.totals, pmax).with_cluster_averages(
         clusters.ned_avg, clusters.psnr_avg)
@@ -127,10 +129,11 @@ class SelectionPolicy:
         if self.quality_metric not in ("ned", "psnr"):
             raise ValueError(f"unknown quality metric {self.quality_metric!r}")
 
-    def admits(self, cell) -> bool:
+    def admits(self, report: ClusterReport) -> np.ndarray:
+        """Mask over the report's blocks: True where a block meets the policy."""
         if self.quality_metric == "ned":
-            return cell.ned <= self.threshold
-        return cell.psnr >= self.threshold
+            return report.cells["ned"] <= self.threshold
+        return report.cells["psnr"] >= self.threshold
 
 
 @dataclass(frozen=True)
@@ -167,18 +170,25 @@ def select_per_cluster(reports: list[tuple[DesignId, ClusterReport]],
         raise ValueError(f"cluster grids disagree: sides {sorted(sides)}")
     side = sides.pop()
 
-    choices: list[DesignId | None] = []
-    for ci in range(side * side):
-        best = None   # (-degree, ned, ordinal, design)
-        for did, rep in reports:
-            cell = rep.cells[ci]
-            if not policy.admits(cell):
-                continue
-            key = (-did.degree_bits, cell.ned, did.ordinal)
-            if best is None or key < best[0]:
-                best = (key, did)
-        choices.append(best[1] if best else None)
-    return SelectionMap(side, tuple(choices))
+    # lexicographic min of (-degree, ned, ordinal) over the admitted designs,
+    # one design at a time over all blocks; degree -1 marks "none yet"
+    best = np.full(side * side, -1)
+    best_degree = np.full(side * side, -1)
+    best_ned = np.zeros(side * side)
+    best_ordinal = np.zeros(side * side, dtype=np.int64)
+    for k, (did, rep) in enumerate(reports):
+        ned = rep.cells["ned"]
+        wins = policy.admits(rep) & (
+            (did.degree_bits > best_degree)
+            | ((did.degree_bits == best_degree)
+               & ((ned < best_ned)
+                  | ((ned == best_ned) & (did.ordinal < best_ordinal)))))
+        best[wins] = k
+        best_degree[wins] = did.degree_bits
+        best_ned[wins] = ned[wins]
+        best_ordinal[wins] = did.ordinal
+    designs = np.array([None] + [did for did, _ in reports], dtype=object)
+    return SelectionMap(side, tuple(designs[best + 1].tolist()))
 
 
 def selection_csv(sel: SelectionMap) -> str:

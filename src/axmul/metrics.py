@@ -15,7 +15,7 @@ sum that int64 could wrap.
 Exhaustive sweeps stop at MAX_SWEEP_WIDTH.  Memory is bounded by one
 chunk (1/16 of the 4^n pairs) plus the per-block sums, so a width-12
 sweep peaks at about 130 MB RSS (the ED histogram also keeps 4^n counts,
-about 270 MB); each added bit multiplies both by four, so wider sweeps
+about 210 MB); each added bit multiplies both by four, so wider sweeps
 are refused before anything is allocated.  Grids wider than that (up to
 fabric.MAX_WIDTH) can still be built and evaluated on chosen operand
 pairs.
@@ -189,14 +189,12 @@ def sweep_chunk(grid: CellGrid, lo: int, hi: int) -> MetricAccumulator:
     return accumulate_arrays(xs * ys, eval_multiply_many(grid, xs, ys))
 
 
-def exhaustive_sweep(grid: CellGrid, n: int | None = None) -> MetricAccumulator:
+def exhaustive_sweep(grid: CellGrid) -> MetricAccumulator:
     """Accumulate all 2^(2n) ordered operand pairs, chunk by chunk.
 
     The plain reduction that `clustering.cluster_sweep(...).totals` must
     equal field for field.
     """
-    if n is not None and n != grid.width:
-        raise ValueError(f"sweep width {n} does not match grid width {grid.width}")
     acc = MetricAccumulator()
     for lo, hi in sweep_chunk_bounds(grid.width):
         acc = merge(acc, sweep_chunk(grid, lo, hi))

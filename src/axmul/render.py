@@ -78,20 +78,20 @@ def cluster_svg(report: ClusterReport, field: str = "ned",
     height = grid_px + 2 * _MARGIN
     parts = _header(width, height, title)
 
-    values = [getattr(c, field) for c in report.cells]
+    cells = report.cells
+    values = cells[field].tolist()
     finite = [v for v in values if math.isfinite(v)]
     peak = max(finite) if finite else 1.0
     low = min(finite) if finite else 0.0
     span = (peak - low) or 1.0
 
-    for cell in report.cells:
-        v = getattr(cell, field)
+    for ia, ib, v in zip(cells["ia"].tolist(), cells["ib"].tolist(), values):
         frac = 1.0 if not math.isfinite(v) else (v - low) / span
         # PSNR is a quality metric: low is bad, so invert the ramp
         if field == "psnr":
             frac = 0.0 if not math.isfinite(v) else 1.0 - (v - low) / span
-        x = _MARGIN + cell.ib * cell_px
-        y = _MARGIN + cell.ia * cell_px
+        x = _MARGIN + ib * cell_px
+        y = _MARGIN + ia * cell_px
         parts.append(f'<rect x="{x}" y="{y}" width="{cell_px}" height="{cell_px}" '
                      f'fill="{_heat_color(frac)}"/>')
 

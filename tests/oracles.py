@@ -5,13 +5,15 @@ evaluator and plain arithmetic, deliberately avoiding the vectorized
 sweep and the cluster reduction, so tests compare two genuinely
 different routes.  `accumulate` is the scalar reference for the sweep's
 accumulator: it folds one operand pair at a time into a MetricAccumulator.
+`oracle_blocks` and `oracle_select` are the per-block loops that the
+columnar cluster report and the selection replaced.
 """
 
 import math
 from dataclasses import dataclass
 
 from axmul.fabric import CellGrid, eval_multiply
-from axmul.metrics import MetricAccumulator
+from axmul.metrics import MetricAccumulator, psnr_from_mse
 
 PEAK_SQ = 255 * 255
 
@@ -79,24 +81,64 @@ def oracle_metrics(grid: CellGrid) -> dict:
 def oracle_clusters(grid: CellGrid, cluster_size: int) -> dict:
     """Per-(ia, ib) dict of directly recomputed cluster statistics."""
     s = cluster_size
-    buckets = {}
+    g = (1 << grid.width) // s
+    sums = [[0] * g for _ in range(g)]
+    squares = [[0] * g for _ in range(g)]
     for x, y, p, pa in oracle_pairs(grid):
-        key = (x // s, y // s)
-        buckets.setdefault(key, []).append(abs(p - pa))
-    out = {}
-    for (ia, ib), eds in sorted(buckets.items()):
-        mean_ed = sum(eds) / len(eds)
-        mse = sum(e * e for e in eds) / len(eds)
-        pmax = (s * ia + s - 1) * (s * ib + s - 1)
-        scaled = mse * (255.0 / pmax) ** 2 if pmax else mse
-        out[(ia, ib)] = {
-            "mean_ed": mean_ed,
-            "pmax_cluster": pmax,
-            "ned": mean_ed / pmax if pmax else 0.0,
-            "mse": mse,
-            "psnr": math.inf if scaled == 0 else 10 * math.log10(PEAK_SQ / scaled),
-        }
+        ed = abs(p - pa)
+        sums[x // s][y // s] += ed
+        squares[x // s][y // s] += ed * ed
+    return {(b["ia"], b["ib"]): b for b in oracle_blocks(s, sums, squares)}
+
+
+def oracle_blocks(cluster_size: int, sums, squares) -> list[dict]:
+    """Scalar reference of `clustering.finish_blocks`, one block at a time.
+
+    `sums` and `squares` are the per-block ED and squared-ED sums as
+    nested lists of Python ints, [ia][ib].  Returns one dict per block in
+    row-major order, keyed by the report's field names.
+    """
+    s = cluster_size
+    pairs = s * s
+    out = []
+    for ia, (sum_row, square_row) in enumerate(zip(sums, squares)):
+        for ib, (block_sum, block_sq) in enumerate(zip(sum_row, square_row)):
+            mean_ed = block_sum / pairs
+            mse = block_sq / pairs
+            pmax = (s * ia + s - 1) * (s * ib + s - 1)
+            scaled = mse * (255.0 / pmax) ** 2 if pmax else mse
+            out.append({
+                "ia": ia, "ib": ib,
+                "mean_ed": mean_ed,
+                "pmax_cluster": pmax,
+                "ned": mean_ed / pmax if pmax else 0.0,
+                "mse": mse,
+                "psnr": psnr_from_mse(scaled),
+                "sum_ed": block_sum,
+                "sum_ed_sq": block_sq,
+            })
     return out
+
+
+def oracle_select(reports, policy) -> list:
+    """Scalar reference of `designspace.select_per_cluster`: per block, the
+    admitted design with the least (-degree, ned, ordinal), else None."""
+    choices = []
+    for ci in range(len(reports[0][1].cells)):
+        best = None
+        for did, rep in reports:
+            ned = float(rep.cells["ned"][ci])
+            if policy.quality_metric == "ned":
+                admitted = ned <= policy.threshold
+            else:
+                admitted = float(rep.cells["psnr"][ci]) >= policy.threshold
+            if not admitted:
+                continue
+            key = (-did.degree_bits, ned, did.ordinal)
+            if best is None or key < best[0]:
+                best = (key, did)
+        choices.append(best[1] if best else None)
+    return choices
 
 
 def oracle_histogram(grid: CellGrid, bin_width: int) -> dict:

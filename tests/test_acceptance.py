@@ -129,17 +129,19 @@ def test_criterion_3_reduced_width_oracle():
 
         cl = cluster_sweep(grid, spec=ClusterSpec(4, 4))
         want_cells = oracle_clusters(grid, 4)
-        for cell in cl.cells:
-            w = want_cells[(cell.ia, cell.ib)]
+        names = cl.cells.dtype.names
+        for cell in (dict(zip(names, row)) for row in cl.cells.tolist()):
+            w = want_cells[(cell["ia"], cell["ib"])]
             cell_ok = (
-                cell.pmax_cluster == w["pmax_cluster"]
-                and math.isclose(cell.mean_ed, w["mean_ed"], rel_tol=1e-12)
-                and math.isclose(cell.ned, w["ned"], rel_tol=1e-12)
-                and math.isclose(cell.mse, w["mse"], rel_tol=1e-12)
-                and (cell.psnr == w["psnr"]
-                     or math.isclose(cell.psnr, w["psnr"], rel_tol=1e-12)))
+                cell["pmax_cluster"] == w["pmax_cluster"]
+                and math.isclose(cell["mean_ed"], w["mean_ed"], rel_tol=1e-12)
+                and math.isclose(cell["ned"], w["ned"], rel_tol=1e-12)
+                and math.isclose(cell["mse"], w["mse"], rel_tol=1e-12)
+                and (cell["psnr"] == w["psnr"]
+                     or math.isclose(cell["psnr"], w["psnr"], rel_tol=1e-12)))
             if not cell_ok:
-                failures.append(f"{name}/{arch}: cluster ({cell.ia},{cell.ib})")
+                failures.append(
+                    f"{name}/{arch}: cluster ({cell['ia']},{cell['ib']})")
     report(3, not failures,
            "n=4 metrics/histogram/clusters equal direct recomputation "
            "over 256 pairs" + (f"; FAILED: {failures}" if failures else ""))
@@ -162,12 +164,14 @@ def test_criterion_4_invariant_suite():
             failures.append(f"histogram mass {name}/{degree}")
 
         cl = cluster_sweep(grid, spec=ClusterSpec(4, 4))
-        if sum(c.sum_ed for c in cl.cells) != acc.sum_ed:
+        cell_ed = sum(cl.cells["sum_ed"].tolist())
+        cell_ed_sq = sum(cl.cells["sum_ed_sq"].tolist())
+        if cell_ed != acc.sum_ed:
             failures.append(f"cluster ED mass {name}/{degree}")
-        if sum(c.sum_ed_sq for c in cl.cells) != acc.sum_ed_sq:
+        if cell_ed_sq != acc.sum_ed_sq:
             failures.append(f"cluster ED^2 mass {name}/{degree}")
-        med_from_cells = sum(c.sum_ed for c in cl.cells) / acc.count
-        mse_from_cells = sum(c.sum_ed_sq for c in cl.cells) / acc.count
+        med_from_cells = cell_ed / acc.count
+        mse_from_cells = cell_ed_sq / acc.count
         if med_from_cells != rep.med or mse_from_cells != rep.mse:
             failures.append(f"cluster means {name}/{degree}")
 

@@ -1,11 +1,13 @@
+import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 import axmul.clustering
 import axmul.metrics
-from axmul.cli import main, parse_degree
+from axmul.cli import default_library_path, main, parse_degree
 from axmul.adders import dump_library, AdderLibrary
 from axmul.designspace import AMA_TYPES
 from conftest import random_adder
@@ -153,6 +155,21 @@ def test_sweeps_above_width_12_are_usage_errors(exact_lib_file, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["clusters", "--width", "12", "--cluster-size", "2"],
+    ["sweep", "--width", "11", "--cluster-size", "1"],
+])
+def test_oversized_block_grids_are_usage_errors(exact_lib_file, tmp_path, capsys,
+                                                args, eval_pair_counts):
+    out = tmp_path / "out"
+    code = main([*args, "--library", exact_lib_file, "--type", "exact",
+                 "--degree", "0", "--out", str(out)])
+    assert code == 1
+    assert "blocks" in capsys.readouterr().err
+    assert eval_pair_counts == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["sweep", "clusters", "histogram"])
 @pytest.mark.parametrize("width", [4, 8])
 def test_commands_evaluate_each_pair_once(zero_lib_file, tmp_path, command,
@@ -259,3 +276,32 @@ def test_select_threshold_extremes(fake_ama_file, tmp_path):
 def test_bad_threshold_is_usage_error(fake_ama_file, tmp_path):
     assert main(["select", "--library", fake_ama_file,
                  "--ned-threshold", "-1", "--out", str(tmp_path)]) == 1
+
+
+EXPECTED_DIR = Path(__file__).resolve().parent.parent / "bench" / "expected"
+GOLDEN_COMMON = ["--width", "8", "--architecture", "row_ripple"]
+
+
+@pytest.mark.parametrize("workload, key, args", [
+    ("paper-table-w8", "table",
+     ["table", "--cluster-size", "16", "--workers", "2"]),
+    ("paper-table-w8", "select",
+     ["select", "--cluster-size", "16", "--workers", "2"]),
+    ("fine-clusters-w8", "select",
+     ["select", "--cluster-size", "2", "--workers", "1"]),
+    *[("fine-clusters-w8", f"clusters:{t}_{d}",
+       ["clusters", "--cluster-size", "2", "--type", t, "--degree", d,
+        "--format", "csv,json,svg"])
+      for t, d in (("AMA1", "D1"), ("AMA1", "D4"), ("AMA3", "D2"), ("AMA5", "D3"))],
+])
+def test_outputs_match_committed_digests(workload, key, args, tmp_path, capsys):
+    """Shipped-library outputs stay byte-identical to the benchmark's digests."""
+    expected = json.loads((EXPECTED_DIR / f"{workload}.json").read_text())["commands"][key]
+    code = main([*args, *GOLDEN_COMMON, "--library", default_library_path(),
+                 "--out", str(tmp_path)])
+    assert code == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in tmp_path.iterdir()}
+    assert files == expected["files"]
+    assert hashlib.sha256(stdout).hexdigest() == expected["stdout"]

@@ -1,14 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
 from axmul.adders import AdderLibrary
-from axmul.clustering import (ClusterSpec, cluster_csv, cluster_matrix,
-                              cluster_sweep, ed_histogram, histogram_csv,
-                              threshold_counts)
+from axmul.clustering import (MAX_BLOCKS, ClusterSpec, cluster_csv,
+                              cluster_matrix, cluster_sweep, ed_histogram,
+                              finish_blocks, histogram_csv)
 from axmul.fabric import MultiplierConfig, build_multiplier
 from axmul.metrics import exhaustive_sweep
-from oracles import oracle_clusters, oracle_histogram
+from oracles import oracle_blocks, oracle_clusters, oracle_histogram
 
 EXACT_LIB = AdderLibrary()
 
@@ -23,22 +24,31 @@ def test_cluster_spec_validation():
         ClusterSpec(8, 0)
 
 
+def test_cluster_spec_caps_the_block_grid():
+    assert ClusterSpec(10, 1).total_clusters == MAX_BLOCKS == 1 << 20
+    assert ClusterSpec(12, 4).grid_side == 1024
+    for width, size in ((11, 1), (12, 1), (12, 2)):
+        with pytest.raises(ValueError, match="blocks"):
+            ClusterSpec(width, size)
+
+
 def test_exact_grid_all_zero():
     grid = build_multiplier(MultiplierConfig(8, "exact", 0), EXACT_LIB)
     report = cluster_sweep(grid)
-    assert all(c.ned == 0.0 for c in report.cells)
-    assert all(c.psnr == math.inf for c in report.cells)
+    assert len(report.cells) == 256
+    assert np.all(report.cells["ned"] == 0.0)
+    assert np.all(report.cells["psnr"] == math.inf)
     assert report.count_ned_over(1.0) == 0
-    assert threshold_counts(report, 1.0, 25.0) == (0, 0)
-    assert report.infinite_psnr_count == 256
+    assert report.count_psnr_under(25.0) == 0
+    assert (report.psnr_avg, report.psnr_min) == (math.inf, math.inf)
 
 
 def test_cluster_pmax_corners():
     grid = build_multiplier(MultiplierConfig(8, "exact", 0), EXACT_LIB)
-    report = cluster_sweep(grid)
-    assert report.cell(0, 0).pmax_cluster == 225
-    assert report.cell(15, 15).pmax_cluster == 65025
-    assert report.cell(2, 5).pmax_cluster == (2 * 16 + 15) * (5 * 16 + 15)
+    pmax = cluster_sweep(grid).cells["pmax_cluster"].reshape(16, 16)
+    assert pmax[0, 0] == 225
+    assert pmax[15, 15] == 65025
+    assert pmax[2, 5] == (2 * 16 + 15) * (5 * 16 + 15)
 
 
 def test_cluster_cells_match_oracle_n4(small_library):
@@ -48,27 +58,28 @@ def test_cluster_cells_match_oracle_n4(small_library):
         want = oracle_clusters(grid, 4)
         assert len(report.cells) == 16
         for cell in report.cells:
-            w = want[(cell.ia, cell.ib)]
-            assert cell.pmax_cluster == w["pmax_cluster"]
-            assert cell.mean_ed == pytest.approx(w["mean_ed"], rel=1e-12)
-            assert cell.ned == pytest.approx(w["ned"], rel=1e-12)
-            assert cell.mse == pytest.approx(w["mse"], rel=1e-12)
+            w = want[(cell["ia"], cell["ib"])]
+            assert cell["pmax_cluster"] == w["pmax_cluster"]
+            assert cell["mean_ed"] == pytest.approx(w["mean_ed"], rel=1e-12)
+            assert cell["ned"] == pytest.approx(w["ned"], rel=1e-12)
+            assert cell["mse"] == pytest.approx(w["mse"], rel=1e-12)
             if math.isinf(w["psnr"]):
-                assert cell.psnr == math.inf
+                assert cell["psnr"] == math.inf
             else:
-                assert cell.psnr == pytest.approx(w["psnr"], rel=1e-12)
+                assert cell["psnr"] == pytest.approx(w["psnr"], rel=1e-12)
 
 
 def test_mass_conservation_against_global(small_library):
     grid = build_multiplier(MultiplierConfig(4, "RND1", 7), small_library)
     acc = exhaustive_sweep(grid)
     report = cluster_sweep(grid, spec=ClusterSpec(4, 4))
-    assert sum(c.sum_ed for c in report.cells) == acc.sum_ed
-    assert sum(c.sum_ed_sq for c in report.cells) == acc.sum_ed_sq
+    cells = report.cells
+    assert sum(cells["sum_ed"].tolist()) == acc.sum_ed
+    assert sum(cells["sum_ed_sq"].tolist()) == acc.sum_ed_sq
     # equal-count cells: the count-weighted mean is the plain mean
-    assert sum(c.mean_ed for c in report.cells) / 16 == pytest.approx(
+    assert cells["mean_ed"].sum() / 16 == pytest.approx(
         acc.sum_ed / acc.count, rel=1e-12)
-    assert sum(c.mse for c in report.cells) / 16 == pytest.approx(
+    assert cells["mse"].sum() / 16 == pytest.approx(
         acc.sum_ed_sq / acc.count, rel=1e-12)
 
 
@@ -92,8 +103,27 @@ def test_cluster_width_mismatch(small_library):
     grid = build_multiplier(MultiplierConfig(4, "ZERO", 8), small_library)
     with pytest.raises(ValueError):
         cluster_sweep(grid, spec=ClusterSpec(8, 16))
-    with pytest.raises(ValueError):
-        cluster_sweep(grid, n=8)
+
+
+def test_finish_blocks_keeps_squared_sums_past_int64_exact():
+    # 16x16 blocks of 65536 pairs, as at width 12 with cluster size 256; a
+    # block of constant ED e has squared-ED partials 65536 * (hi*hi, hi*lo,
+    # lo*lo) for e = hi * 2^16 + lo, and at e near 2^24 the sum passes 2^63
+    spec = ClusterSpec(12, 256)
+    pairs = 256 * 256
+    eds = np.arange(256, dtype=np.int64).reshape(16, 16) * 65793   # up to 2^24 - 1
+    hi, lo = eds >> 16, eds & 0xFFFF
+    sq_parts = pairs * np.stack([hi * hi, hi * lo, lo * lo])
+    cells = finish_blocks(spec, pairs * eds, sq_parts)
+
+    squares = [[pairs * int(e) ** 2 for e in row] for row in eds.tolist()]
+    assert max(max(row) for row in squares) >= 1 << 63
+    got = cells["sum_ed_sq"].tolist()
+    assert got == [v for row in squares for v in row]
+    assert cells["mse"].tolist() == [v / pairs for v in got]
+    want = oracle_blocks(256, (pairs * eds).tolist(), squares)
+    names = cells.dtype.names
+    assert [dict(zip(names, row)) for row in cells.tolist()] == want
 
 
 def test_histogram_exact_single_bin():
@@ -134,12 +164,12 @@ def test_cluster_csv_round_trip(small_library):
     assert len(lines) == 17
     for line, cell in zip(lines[1:], report.cells):
         ia, ib, mean_ed, pmax, ned, mse, psnr = line.split(",")
-        assert (int(ia), int(ib)) == (cell.ia, cell.ib)
-        assert int(pmax) == cell.pmax_cluster
-        assert float(mean_ed) == pytest.approx(cell.mean_ed, rel=1e-5)
-        assert float(ned) == pytest.approx(cell.ned, rel=1e-5)
-        assert float(mse) == pytest.approx(cell.mse, rel=1e-5)
-        assert float(psnr) == pytest.approx(cell.psnr, rel=1e-5)
+        assert (int(ia), int(ib)) == (cell["ia"], cell["ib"])
+        assert int(pmax) == cell["pmax_cluster"]
+        assert float(mean_ed) == pytest.approx(cell["mean_ed"], rel=1e-5)
+        assert float(ned) == pytest.approx(cell["ned"], rel=1e-5)
+        assert float(mse) == pytest.approx(cell["mse"], rel=1e-5)
+        assert float(psnr) == pytest.approx(cell["psnr"], rel=1e-5)
 
 
 def test_cluster_matrix_shape(small_library):
@@ -148,6 +178,8 @@ def test_cluster_matrix_shape(small_library):
     rows = cluster_matrix(report).strip().split("\n")
     assert len(rows) == 4
     assert all(len(r.split()) == 4 for r in rows)
+    assert [float(v) for r in rows for v in r.split()] == pytest.approx(
+        report.cells["ned"].tolist(), rel=1e-5)
 
 
 def test_histogram_csv_round_trip(small_library):

@@ -1,10 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from axmul.adders import AdderLibrary
-from axmul.clustering import ClusterCell, ClusterReport, ClusterSpec, cluster_sweep
+from axmul.clustering import ClusterReport, ClusterSpec, cluster_sweep
 from axmul.designspace import (AMA_TYPES, DEGREE_BITS, DesignId,
                                SelectionPolicy, analyze_design, design_id,
                                enumerate_library, library_metrics_table,
@@ -13,6 +15,7 @@ from axmul.designspace import (AMA_TYPES, DEGREE_BITS, DesignId,
 from axmul.fabric import MultiplierConfig, build_multiplier
 from axmul.metrics import MetricAccumulator
 from conftest import random_adder
+from oracles import oracle_select
 
 
 def fake_ama_library():
@@ -59,16 +62,12 @@ def test_enumerate_missing_type():
         enumerate_library(lib)
 
 
-def synth_report(neds, side=2, psnrs=None):
-    cells = []
-    for ia in range(side):
-        for ib in range(side):
-            ned = neds[ia * side + ib]
-            psnr = psnrs[ia * side + ib] if psnrs else 10.0
-            cells.append(ClusterCell(ia, ib, mean_ed=ned, pmax_cluster=1,
-                                     ned=ned, mse=1.0, psnr=psnr,
-                                     sum_ed=0, sum_ed_sq=0))
-    return ClusterReport(ClusterSpec(2, 2), tuple(cells), MetricAccumulator())
+def synth_report(neds, psnrs=None, spec=ClusterSpec(2, 2)):
+    """A report carrying only the columns selection reads."""
+    cells = np.zeros(spec.total_clusters, dtype=[("ned", float), ("psnr", float)])
+    cells["ned"] = neds
+    cells["psnr"] = psnrs if psnrs else 10.0
+    return ClusterReport(spec, cells, MetricAccumulator())
 
 
 def toy_designs():
@@ -164,8 +163,8 @@ def test_select_matches_argmax_oracle_4bit():
     sel = select_per_cluster(designs, SelectionPolicy("ned", threshold))
 
     for ci in range(16):
-        qualifying = [(did, rep.cells[ci].ned) for did, rep in designs
-                      if rep.cells[ci].ned <= threshold]
+        qualifying = [(did, rep.cells["ned"][ci]) for did, rep in designs
+                      if rep.cells["ned"][ci] <= threshold]
         if not qualifying:
             assert sel.choices[ci] is None
             continue
@@ -177,6 +176,27 @@ def test_select_matches_argmax_oracle_4bit():
 
     counts = sel.usage_counts()
     assert sum(counts.values()) == 16
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(data=st.data(), metric=st.sampled_from(("ned", "psnr")))
+def test_select_matches_per_block_reference(data, metric):
+    # few distinct degrees, NEDs and PSNRs force ties at every key level;
+    # the designs arrive in shuffled ordinal order
+    spec = ClusterSpec(2, 1)
+    count = data.draw(st.integers(1, 6), label="designs")
+    levels = st.lists(st.sampled_from((0.0, 0.25, 0.5, 1.0)),
+                      min_size=spec.total_clusters, max_size=spec.total_clusters)
+    reports = []
+    for ordinal in data.draw(st.permutations(range(1, count + 1)), label="order"):
+        did = DesignId("T", "d", ordinal,
+                       degree_bits=data.draw(st.sampled_from((2, 4)), label="degree"))
+        psnrs = [40.0 * v for v in data.draw(levels, label="psnr")]
+        reports.append((did, synth_report(data.draw(levels, label="ned"),
+                                          psnrs=psnrs, spec=spec)))
+    policy = SelectionPolicy(metric, data.draw(st.sampled_from((0.0, 0.5, 20.0))))
+    sel = select_per_cluster(reports, policy)
+    assert list(sel.choices) == oracle_select(reports, policy)
 
 
 def test_selection_csv_and_summary():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -11,6 +12,7 @@ from axmul.fabric import (ARCHITECTURES, HALF_ADDER_MODES, MultiplierConfig,
                           eval_multiply_many, exact_multiply, grid_csv)
 from axmul.metrics import exhaustive_sweep, finalize
 from conftest import random_adder
+from oracles import oracle_blocks
 
 EXACT_LIB = AdderLibrary()
 
@@ -146,6 +148,11 @@ def test_eval_many_matches_scalar_property(data, width, sum_bits, cout_bits,
         assert np.array_equal(batch, xs * ys)
 
 
+def _exact(block: dict) -> dict:
+    """Floats by their hex form, so equal blocks have equal bits."""
+    return {k: v.hex() if isinstance(v, float) else v for k, v in block.items()}
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(data=st.data(), width=st.integers(2, 6), sum_bits=bit_tables,
        cout_bits=bit_tables, architecture=st.sampled_from(ARCHITECTURES))
@@ -164,16 +171,25 @@ def test_cluster_sweep_totals_equal_exhaustive_sweep_property(
         assert getattr(totals, f) == getattr(swept, f)
     assert totals.sum_red.hex() == swept.sum_red.hex()
 
+    # every column equals the scalar per-block loop over Python-int sums:
+    # floats bit for bit, the integer masses exactly
     side = 1 << width
     xs, ys = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
     ed = np.abs(xs * ys - eval_multiply_many(grid, xs, ys))
-    for cell in report.cells:
-        block = ed[cell.ia * size:(cell.ia + 1) * size,
-                   cell.ib * size:(cell.ib + 1) * size].ravel().tolist()
-        assert cell.sum_ed == sum(block)
-        assert cell.sum_ed_sq == sum(e * e for e in block)
-    assert sum(c.sum_ed for c in report.cells) == totals.sum_ed
-    assert sum(c.sum_ed_sq for c in report.cells) == totals.sum_ed_sq
+    g = side // size
+    blocks = [[ed[ia * size:(ia + 1) * size, ib * size:(ib + 1) * size].ravel().tolist()
+               for ib in range(g)] for ia in range(g)]
+    want = oracle_blocks(size, [[sum(b) for b in row] for row in blocks],
+                         [[sum(e * e for e in b) for b in row] for row in blocks])
+    names = report.cells.dtype.names
+    got = [dict(zip(names, row)) for row in report.cells.tolist()]
+    assert [_exact(b) for b in got] == [_exact(b) for b in want]
+    assert report.ned_avg.hex() == (sum(b["ned"] for b in want) / len(want)).hex()
+    finite = [b["psnr"] for b in want if b["psnr"] != math.inf]
+    psnr_avg = sum(finite) / len(finite) if finite else math.inf
+    assert report.psnr_avg.hex() == psnr_avg.hex()
+    assert sum(b["sum_ed"] for b in got) == totals.sum_ed
+    assert sum(b["sum_ed_sq"] for b in got) == totals.sum_ed_sq
     pmax = (side - 1) ** 2
     assert ed_histogram(grid).mean_ed == finalize(totals, pmax).med
     hist = ed_histogram(grid, bin_width=1)

@@ -110,12 +110,6 @@ def test_exhaustive_sweep_exact_n8():
     assert acc.max_ed == 0
 
 
-def test_sweep_width_mismatch():
-    grid = build_multiplier(MultiplierConfig(4, "exact", 0), EXACT_LIB)
-    with pytest.raises(ValueError):
-        exhaustive_sweep(grid, 8)
-
-
 def test_finalize_exact_report():
     grid = build_multiplier(MultiplierConfig(4, "exact", 0), EXACT_LIB)
     report = finalize(exhaustive_sweep(grid), 225)
