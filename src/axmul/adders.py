@@ -80,14 +80,6 @@ def exact_full_adder() -> FullAdderSpec:
     return FullAdderSpec(EXACT_NAME, tuple(sum_bits), tuple(cout_bits))
 
 
-def eval_adder(spec: FullAdderSpec, a: int, b: int, cin: int) -> tuple[int, int]:
-    """Pure table lookup; inputs must be single bits."""
-    if a not in (0, 1) or b not in (0, 1) or cin not in (0, 1):
-        raise ValueError(f"adder inputs must be bits, got ({a}, {b}, {cin})")
-    idx = 4 * a + 2 * b + cin
-    return spec.sum_bits[idx], spec.cout_bits[idx]
-
-
 @dataclass(frozen=True)
 class AdderErrorProfile:
     """Rows of a spec's truth table that disagree with the exact adder."""

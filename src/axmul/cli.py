@@ -5,6 +5,10 @@ Exit codes: 0 success, 1 usage error, 2 input-format error, 3 internal error.
 
 The adder library file is taken from --library, else the AXMUL_LIBRARY
 environment variable, else the packaged default.
+
+The Python API is the submodules (axmul.adders, axmul.fabric, axmul.metrics,
+axmul.clustering, axmul.designspace, axmul.render); the package itself
+re-exports nothing.
 """
 
 from __future__ import annotations
@@ -14,13 +18,12 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from . import render
 from .adders import (AdderFormatError, AdderLibrary, UnknownAdderError,
-                     error_profile, load_library)
+                     error_profile, load_library_file)
 from .clustering import (ClusterSpec, cluster_csv, cluster_matrix, cluster_sweep,
                          ed_histogram, histogram_csv)
 from .designspace import (DEGREE_BITS, SelectionPolicy, analyze_design,
@@ -31,32 +34,6 @@ from .metrics import fmt6, report_csv_header, report_csv_row
 
 ENV_LIBRARY = "AXMUL_LIBRARY"
 DEFAULT_FORMATS = ("csv", "json", "svg")
-
-
-@dataclass
-class RunConfig:
-    library_path: str
-    width: int = 8
-    cluster_size: int = 16
-    ned_threshold: float = 1.0
-    psnr_threshold: float = 25.0
-    out_dir: Path = Path(".")
-    formats: tuple[str, ...] = DEFAULT_FORMATS
-    workers: int = 1
-    half_adders: str | None = None
-    architecture: str = "row_ripple"
-    library: AdderLibrary = field(init=False)
-
-    def __post_init__(self):
-        if self.ned_threshold < 0 or self.psnr_threshold < 0:
-            raise ValueError("thresholds must be nonnegative")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        bad = set(self.formats) - set(DEFAULT_FORMATS)
-        if bad:
-            raise ValueError(f"unsupported formats: {sorted(bad)}")
-        with open(self.library_path, encoding="utf-8") as fh:
-            self.library = load_library(fh.read())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,6 +48,28 @@ def default_library_path() -> str:
     if env:
         return env
     return str(resources.files("axmul").joinpath("data/ama_adders.json"))
+
+
+def nonnegative_float(text: str) -> float:
+    value = float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
+def format_list(text: str) -> tuple[str, ...]:
+    formats = tuple(f.strip() for f in text.split(",") if f.strip())
+    bad = set(formats) - set(DEFAULT_FORMATS)
+    if bad:
+        raise argparse.ArgumentTypeError(f"unsupported formats: {sorted(bad)}")
+    return formats
 
 
 def parse_degree(text: str, width: int) -> tuple[str, int]:
@@ -94,12 +93,12 @@ def _add_common(sub, with_design=False):
     sub.add_argument("--library", default=None, help="adder library JSON file")
     sub.add_argument("--width", type=int, default=8)
     sub.add_argument("--cluster-size", type=int, default=16)
-    sub.add_argument("--ned-threshold", type=float, default=1.0)
-    sub.add_argument("--psnr-threshold", type=float, default=25.0)
-    sub.add_argument("--out", default=".", help="output directory")
-    sub.add_argument("--format", default="csv,json,svg",
+    sub.add_argument("--ned-threshold", type=nonnegative_float, default=1.0)
+    sub.add_argument("--psnr-threshold", type=nonnegative_float, default=25.0)
+    sub.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    sub.add_argument("--format", type=format_list, default=DEFAULT_FORMATS,
                      help="comma list from csv,json,svg")
-    sub.add_argument("--workers", type=int, default=1,
+    sub.add_argument("--workers", type=positive_int, default=1,
                      help="processes for table and select, one design per "
                           "job; other commands evaluate one design in-process")
     sub.add_argument("--architecture", choices=("row_ripple", "carry_save"),
@@ -153,45 +152,26 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _run_config(args) -> RunConfig:
-    return RunConfig(
-        library_path=args.library or default_library_path(),
-        width=args.width,
-        cluster_size=args.cluster_size,
-        ned_threshold=args.ned_threshold,
-        psnr_threshold=args.psnr_threshold,
-        out_dir=Path(args.out),
-        formats=tuple(f.strip() for f in args.format.split(",") if f.strip()),
-        workers=args.workers,
-        half_adders=args.half_adders,
-        architecture=args.architecture,
-    )
-
-
-def _write(cfg: RunConfig, name: str, text: str) -> Path:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    path = cfg.out_dir / name
-    path.write_text(text, encoding="utf-8", newline="\n")
-    return path
+def _write(out_dir: Path, name: str, text: str) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / name).write_text(text, encoding="utf-8", newline="\n")
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _design_config(cfg: RunConfig, args) -> tuple[str, MultiplierConfig]:
+def _design_config(args, library: AdderLibrary) -> tuple[str, MultiplierConfig]:
     label, bits = parse_degree(args.degree, args.width)
     config = MultiplierConfig(args.width, args.type, bits,
-                              half_adders=cfg.half_adders,
-                              architecture=cfg.architecture)
-    cfg.library.get(args.type)   # fail early with a resolution error
+                              half_adders=args.half_adders,
+                              architecture=args.architecture)
+    library.get(args.type)   # fail early with a resolution error
     return f"{args.type}_{label}", config
 
 
 def cmd_validate(args) -> int:
-    path = args.library_path or default_library_path()
-    with open(path, encoding="utf-8") as fh:
-        library = load_library(fh.read())
+    library = load_library_file(args.library_path or default_library_path())
     for spec in library:
         profile = error_profile(spec)
         detail = ""
@@ -203,16 +183,16 @@ def cmd_validate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _run_config(args)
-    name, config = _design_config(cfg, args)
-    report, _ = analyze_design(config, cfg.library, cfg.cluster_size)
+    library = load_library_file(args.library or default_library_path())
+    name, config = _design_config(args, library)
+    report, _ = analyze_design(config, library, args.cluster_size)
 
-    if "json" in cfg.formats:
-        _write(cfg, f"sweep_{name}.json", _json_text(report.to_dict()))
-    if "csv" in cfg.formats:
+    if "json" in args.format:
+        _write(args.out, f"sweep_{name}.json", _json_text(report.to_dict()))
+    if "csv" in args.format:
         csv_text = (report_csv_header(("design", "type", "degree")) + "\n" +
                     report_csv_row(report, (name, args.type, str(config.degree))) + "\n")
-        _write(cfg, f"sweep_{name}.csv", csv_text)
+        _write(args.out, f"sweep_{name}.csv", csv_text)
     print(f"{name}: er={fmt6(report.er)} med={fmt6(report.med)} "
           f"ned={fmt6(report.ned_clustered_avg)} mred={fmt6(report.mred)} "
           f"mse={fmt6(report.mse)} psnr={fmt6(report.psnr_clustered_avg)}")
@@ -220,10 +200,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_table(args) -> int:
-    cfg = _run_config(args)
-    rows = library_metrics_table(cfg.library, cluster_size=cfg.cluster_size,
-                                 workers=cfg.workers, half_adders=cfg.half_adders,
-                                 architecture=cfg.architecture)
+    library = load_library_file(args.library or default_library_path())
+    rows = library_metrics_table(library, cluster_size=args.cluster_size,
+                                 workers=args.workers, half_adders=args.half_adders,
+                                 architecture=args.architecture)
     if args.type:
         rows = [r for r in rows if r.design.type_knob == args.type]
     if args.degree:
@@ -234,13 +214,13 @@ def cmd_table(args) -> int:
     if not rows:
         raise ValueError("design filter matched no rows")
 
-    if "csv" in cfg.formats:
-        _write(cfg, "library_table.csv", table_csv(rows))
-    if "json" in cfg.formats:
+    if "csv" in args.format:
+        _write(args.out, "library_table.csv", table_csv(rows))
+    if "json" in args.format:
         doc = [{"design": r.design.label, "type": r.design.type_knob,
                 "degree": r.design.degree_knob, "ordinal": r.design.ordinal,
                 **r.report.to_dict()} for r in rows]
-        _write(cfg, "library_table.json", _json_text(doc))
+        _write(args.out, "library_table.json", _json_text(doc))
     for r in rows:
         print(f"{r.design.label} ({r.design.type_knob}/{r.design.degree_knob}): "
               f"er={fmt6(r.report.er)} med={fmt6(r.report.med)} "
@@ -250,74 +230,74 @@ def cmd_table(args) -> int:
 
 
 def cmd_clusters(args) -> int:
-    cfg = _run_config(args)
-    name, config = _design_config(cfg, args)
-    spec = ClusterSpec(config.width, cfg.cluster_size)
-    report = cluster_sweep(build_multiplier(config, cfg.library), spec=spec)
+    library = load_library_file(args.library or default_library_path())
+    name, config = _design_config(args, library)
+    spec = ClusterSpec(config.width, args.cluster_size)
+    report = cluster_sweep(build_multiplier(config, library), spec=spec)
 
-    if "csv" in cfg.formats:
-        _write(cfg, f"clusters_{name}.csv", cluster_csv(report))
-        _write(cfg, f"clusters_{name}_ned.txt", cluster_matrix(report, "ned"))
-    if "svg" in cfg.formats:
-        _write(cfg, f"clusters_{name}.svg",
+    if "csv" in args.format:
+        _write(args.out, f"clusters_{name}.csv", cluster_csv(report))
+        _write(args.out, f"clusters_{name}_ned.txt", cluster_matrix(report, "ned"))
+    if "svg" in args.format:
+        _write(args.out, f"clusters_{name}.svg",
                render.cluster_svg(report, "ned", f"per-cluster NED, {name}"))
-    if "json" in cfg.formats:
+    if "json" in args.format:
         doc = {
             "design": name,
             "ned_avg": report.ned_avg, "ned_max": report.ned_max,
             "psnr_avg": report.psnr_avg, "psnr_min": report.psnr_min,
-            "ned_violations": report.count_ned_over(cfg.ned_threshold),
-            "psnr_violations": report.count_psnr_under(cfg.psnr_threshold),
+            "ned_violations": report.count_ned_over(args.ned_threshold),
+            "psnr_violations": report.count_psnr_under(args.psnr_threshold),
         }
-        _write(cfg, f"clusters_{name}.json", _json_text(doc))
+        _write(args.out, f"clusters_{name}.json", _json_text(doc))
 
     total = report.spec.total_clusters
     print(f"{name}: ned_avg={fmt6(report.ned_avg)} psnr_avg={fmt6(report.psnr_avg)}")
-    print(f"ned>{cfg.ned_threshold:g}: "
-          f"{report.count_ned_over(cfg.ned_threshold)}/{total}")
-    print(f"psnr<{cfg.psnr_threshold:g}dB: "
-          f"{report.count_psnr_under(cfg.psnr_threshold)}/{total}")
+    print(f"ned>{args.ned_threshold:g}: "
+          f"{report.count_ned_over(args.ned_threshold)}/{total}")
+    print(f"psnr<{args.psnr_threshold:g}dB: "
+          f"{report.count_psnr_under(args.psnr_threshold)}/{total}")
     return 0
 
 
 def cmd_histogram(args) -> int:
-    cfg = _run_config(args)
-    name, config = _design_config(cfg, args)
-    grid = build_multiplier(config, cfg.library)
+    library = load_library_file(args.library or default_library_path())
+    name, config = _design_config(args, library)
+    grid = build_multiplier(config, library)
     hist = ed_histogram(grid, bin_width=args.bin_width)
 
-    if "csv" in cfg.formats:
-        _write(cfg, f"histogram_{name}.csv", histogram_csv(hist))
-    if "svg" in cfg.formats:
-        _write(cfg, f"histogram_{name}.svg",
+    if "csv" in args.format:
+        _write(args.out, f"histogram_{name}.csv", histogram_csv(hist))
+    if "svg" in args.format:
+        _write(args.out, f"histogram_{name}.svg",
                render.histogram_svg(hist, f"ED histogram, {name}"))
-    if "json" in cfg.formats:
+    if "json" in args.format:
         doc = {"design": name, "bin_width": hist.bin_width,
                "total_count": hist.total_count, "min_ed": hist.min_ed,
                "max_ed": hist.max_ed, "mean_ed": hist.mean_ed}
-        _write(cfg, f"histogram_{name}.json", _json_text(doc))
+        _write(args.out, f"histogram_{name}.json", _json_text(doc))
     print(f"{name}: ED min={hist.min_ed} max={hist.max_ed} "
           f"mean={fmt6(hist.mean_ed)} over {hist.total_count} pairs")
     return 0
 
 
 def cmd_select(args) -> int:
-    cfg = _run_config(args)
-    rows = library_metrics_table(cfg.library, cluster_size=cfg.cluster_size,
-                                 workers=cfg.workers, half_adders=cfg.half_adders,
-                                 architecture=cfg.architecture)
+    library = load_library_file(args.library or default_library_path())
+    rows = library_metrics_table(library, cluster_size=args.cluster_size,
+                                 workers=args.workers, half_adders=args.half_adders,
+                                 architecture=args.architecture)
     policy = SelectionPolicy(args.metric,
-                             cfg.ned_threshold if args.metric == "ned"
-                             else cfg.psnr_threshold)
+                             args.ned_threshold if args.metric == "ned"
+                             else args.psnr_threshold)
     sel = select_per_cluster([(r.design, r.clusters) for r in rows], policy)
 
-    if "csv" in cfg.formats:
-        _write(cfg, "selection.csv", selection_csv(sel))
-    if "json" in cfg.formats:
+    if "csv" in args.format:
+        _write(args.out, "selection.csv", selection_csv(sel))
+    if "json" in args.format:
         doc = selection_summary(sel)
         doc["policy"] = {"metric": policy.quality_metric,
                          "threshold": policy.threshold}
-        _write(cfg, "selection.json", _json_text(doc))
+        _write(args.out, "selection.json", _json_text(doc))
     counts = sel.usage_counts()
     top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:4]
     summary = " ".join(f"{k}:{v}" for k, v in top)

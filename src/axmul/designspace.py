@@ -7,6 +7,7 @@ Design1, AMA1/D2 is Design2, ..., AMA5/D4 is Design20.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -95,20 +96,15 @@ def library_metrics_table(library: AdderLibrary, cluster_size: int = 16,
     """
     entries = enumerate_library(library, half_adders=half_adders,
                                 architecture=architecture)
+    jobs = ([cfg for _, cfg in entries], repeat(library), repeat(cluster_size))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                _analyze_job, [(cfg, library, cluster_size) for _, cfg in entries]))
+            results = list(pool.map(analyze_design, *jobs))
     else:
-        results = [_analyze_job((cfg, library, cluster_size)) for _, cfg in entries]
+        results = list(map(analyze_design, *jobs))
     return [TableRow(did, cfg, report, clusters)
             for (did, cfg), (report, clusters) in zip(entries, results)]
-
-
-def _analyze_job(args):
-    config, library, cluster_size = args
-    return analyze_design(config, library, cluster_size)
 
 
 def table_csv(rows: list[TableRow]) -> str:

@@ -395,15 +395,3 @@ def _unpack_products(tap_words: np.ndarray, count: int) -> np.ndarray:
         out[:, lo // 8] = byte
     return out.view("<i8").ravel().astype(np.int64, copy=False)
 
-
-def cell_weight_map(grid: CellGrid) -> list[tuple[str, int, bool]]:
-    """One (role, weight, is_approximate) entry per cell, in evaluation order."""
-    return [(cell.role, cell.weight, cell.approximate) for cell in grid.cells]
-
-
-def grid_csv(grid: CellGrid) -> str:
-    """Introspection export: role,row,col,weight,approx (merge rows use row=-1)."""
-    lines = ["role,row,col,weight,approx"]
-    for cell in grid.cells:
-        lines.append(f"{cell.kind},{cell.row},{cell.col},{cell.weight},{int(cell.approximate)}")
-    return "\n".join(lines) + "\n"

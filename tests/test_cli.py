@@ -273,9 +273,28 @@ def test_select_threshold_extremes(fake_ama_file, tmp_path):
     assert summary["exact_fraction"] == 0.0
 
 
-def test_bad_threshold_is_usage_error(fake_ama_file, tmp_path):
-    assert main(["select", "--library", fake_ama_file,
-                 "--ned-threshold", "-1", "--out", str(tmp_path)]) == 1
+@pytest.mark.parametrize("command", ["sweep", "clusters", "select"])
+@pytest.mark.parametrize("bad, code", [
+    (["--ned-threshold", "-1"], 1),
+    (["--psnr-threshold", "-1"], 1),
+    (["--workers", "0"], 1),
+    (["--format", "csv,xml"], 1),
+    (["--library", "missing.json"], 2),
+    (["--library", "malformed.json"], 2),
+], ids=["ned-threshold", "psnr-threshold", "workers", "format",
+        "missing-library", "malformed-library"])
+def test_bad_input_exit_codes(fake_ama_file, tmp_path, command, bad, code,
+                              eval_pair_counts):
+    (tmp_path / "malformed.json").write_text(json.dumps([
+        {"name": "SHORT", "sum_bits": "0110100", "cout_bits": "00010111"}]))
+    design = [] if command == "select" else ["--type", "AMA1", "--degree", "D1"]
+    bad = [str(tmp_path / a) if a.endswith(".json") else a for a in bad]
+    out = tmp_path / "out"
+    # a later --library overrides the good one
+    assert main([command, *design, "--library", fake_ama_file, *bad,
+                 "--out", str(out)]) == code
+    assert eval_pair_counts == []
+    assert not out.exists()
 
 
 EXPECTED_DIR = Path(__file__).resolve().parent.parent / "bench" / "expected"

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from axmul.adders import AdderLibrary, FullAdderSpec, UnknownAdderError
 from axmul.clustering import ClusterSpec, cluster_sweep, ed_histogram
 from axmul.fabric import (ARCHITECTURES, HALF_ADDER_MODES, MultiplierConfig,
-                          build_multiplier, cell_weight_map, eval_multiply,
-                          eval_multiply_many, exact_multiply, grid_csv)
+                          build_multiplier, eval_multiply, eval_multiply_many,
+                          exact_multiply)
 from axmul.metrics import exhaustive_sweep, finalize
 from conftest import random_adder
 from oracles import oracle_blocks
@@ -199,14 +199,14 @@ def test_cluster_sweep_totals_equal_exhaustive_sweep_property(
 
 def test_weight_rule_cell_assignment():
     grid = build(8, "exact", 7)
-    entries = cell_weight_map(grid)
+    entries = [(c.weight, c.approximate) for c in grid.cells]
     assert len(entries) == 64
-    by_weight = sum(1 for _, w, _ in entries if w <= 6)
-    assert sum(1 for _, _, ap in entries if ap) == by_weight
-    assert all(ap == (w < 7) for _, w, ap in entries)
+    by_weight = sum(1 for w, _ in entries if w <= 6)
+    assert sum(1 for _, ap in entries if ap) == by_weight
+    assert all(ap == (w < 7) for w, ap in entries)
 
-    assert sum(1 for _, _, ap in cell_weight_map(build(8, "exact", 0)) if ap) == 0
-    assert sum(1 for _, _, ap in cell_weight_map(build(8, "exact", 16)) if ap) == 64
+    assert sum(1 for c in build(8, "exact", 0).cells if c.approximate) == 0
+    assert sum(1 for c in build(8, "exact", 16).cells if c.approximate) == 64
 
 
 def test_half_adder_exact_mode_assignment():
@@ -270,21 +270,6 @@ def test_truncation_bound(small_library):
     for _ in range(300):
         x, y = rng.randrange(16), rng.randrange(16)
         assert 0 <= eval_multiply(grid, x, y) < 256
-
-
-def test_grid_csv_round_trip():
-    grid = build(4, "exact", 3)
-    text = grid_csv(grid)
-    lines = text.strip().split("\n")
-    assert lines[0] == "role,row,col,weight,approx"
-    rows = [line.split(",") for line in lines[1:]]
-    assert len(rows) == len(grid.cells)
-    for (kind, row, col, weight, approx), cell in zip(rows, grid.cells):
-        assert kind == cell.kind
-        assert int(row) == cell.row
-        assert int(col) == cell.col
-        assert int(weight) == cell.weight
-        assert bool(int(approx)) == cell.approximate
 
 
 def test_row_ripple_cell_count_and_exactness():
