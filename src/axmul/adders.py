@@ -45,11 +45,6 @@ class FullAdderSpec:
             if len(bits) != 8 or any(b not in (0, 1) for b in bits):
                 raise ValueError(f"{self.name}: {field} must be 8 bits of 0/1")
 
-    @classmethod
-    def from_strings(cls, name: str, sum_bits: str, cout_bits: str) -> "FullAdderSpec":
-        return cls(name, _parse_bits(name, "sum_bits", sum_bits),
-                   _parse_bits(name, "cout_bits", cout_bits))
-
     def sum_string(self) -> str:
         return "".join(str(b) for b in self.sum_bits)
 

@@ -26,9 +26,10 @@ from .adders import (AdderFormatError, AdderLibrary, UnknownAdderError,
                      error_profile, load_library_file)
 from .clustering import (ClusterSpec, cluster_csv, cluster_matrix, cluster_sweep,
                          ed_histogram, histogram_csv)
-from .designspace import (DEGREE_BITS, SelectionPolicy, analyze_design,
-                          library_metrics_table, select_per_cluster,
-                          selection_csv, selection_summary, table_csv)
+from .designspace import (DEGREE_BITS, LIBRARY_WIDTH, SelectionPolicy,
+                          analyze_design, library_metrics_table,
+                          select_per_cluster, selection_csv, selection_summary,
+                          table_csv)
 from .fabric import MultiplierConfig, build_multiplier
 from .metrics import fmt6, report_csv_header, report_csv_row
 
@@ -170,6 +171,17 @@ def _design_config(args, library: AdderLibrary) -> tuple[str, MultiplierConfig]:
     return f"{args.type}_{label}", config
 
 
+def _library_designs(args) -> list:
+    """The analyzed 20-design library; it exists at one width only."""
+    if args.width != LIBRARY_WIDTH:
+        raise ValueError(f"{args.command} analyzes the {LIBRARY_WIDTH}-bit design "
+                         f"library; --width {args.width} is not supported")
+    library = load_library_file(args.library or default_library_path())
+    return library_metrics_table(library, cluster_size=args.cluster_size,
+                                 workers=args.workers, half_adders=args.half_adders,
+                                 architecture=args.architecture)
+
+
 def cmd_validate(args) -> int:
     library = load_library_file(args.library_path or default_library_path())
     for spec in library:
@@ -200,10 +212,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_table(args) -> int:
-    library = load_library_file(args.library or default_library_path())
-    rows = library_metrics_table(library, cluster_size=args.cluster_size,
-                                 workers=args.workers, half_adders=args.half_adders,
-                                 architecture=args.architecture)
+    rows = _library_designs(args)
     if args.type:
         rows = [r for r in rows if r.design.type_knob == args.type]
     if args.degree:
@@ -282,10 +291,7 @@ def cmd_histogram(args) -> int:
 
 
 def cmd_select(args) -> int:
-    library = load_library_file(args.library or default_library_path())
-    rows = library_metrics_table(library, cluster_size=args.cluster_size,
-                                 workers=args.workers, half_adders=args.half_adders,
-                                 architecture=args.architecture)
+    rows = _library_designs(args)
     policy = SelectionPolicy(args.metric,
                              args.ned_threshold if args.metric == "ned"
                              else args.psnr_threshold)

@@ -99,20 +99,30 @@ class ClusterReport:
         return int(np.count_nonzero(self.cells["psnr"] < threshold))
 
 
-def chunk_products(grid: CellGrid, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact and approximate products of one sweep chunk, each (hi - lo, 2^n)."""
+def chunk_errors(grid: CellGrid, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact products and EDs of one sweep chunk, each int64 (hi - lo, 2^n).
+
+    The ED is formed in place in the evaluator's output buffer, so a chunk
+    holds just these two product-sized arrays.
+    """
     xs, ys = chunk_operands(grid.width, lo, hi)
-    return xs * ys, eval_multiply_many(grid, xs, ys)
+    exact = xs * ys
+    ed = eval_multiply_many(grid, xs, ys)
+    np.subtract(exact, ed, out=ed)
+    np.abs(ed, out=ed)
+    return exact, ed
 
 
 def cluster_sweep(grid: CellGrid, spec: ClusterSpec | None = None) -> ClusterReport:
     """Aggregate every s*s operand block, and the whole domain, in one sweep.
 
-    Each first-operand chunk is evaluated once.  It is merged into the
-    global accumulator in chunk order (so `totals` equals
-    `exhaustive_sweep`) and folded into per-block ED sums and int64
-    squared-ED partials; a block taller than a chunk collects several
-    chunks.  `finish_blocks` turns the sums into the report's columns.
+    Each first-operand chunk is evaluated once and its ED array formed
+    once.  The chunk is folded into per-block ED sums and int64 squared-ED
+    partials; a block taller than a chunk collects several chunks.  The
+    chunk's partials, summed over its blocks, give the squared-ED sum of
+    the global accumulator, which merges the chunks in chunk order (so
+    `totals` equals `exhaustive_sweep`).  `finish_blocks` turns the
+    per-block sums into the report's columns.
     """
     if spec is None:
         spec = ClusterSpec(grid.width)
@@ -126,13 +136,16 @@ def cluster_sweep(grid: CellGrid, spec: ClusterSpec | None = None) -> ClusterRep
     sum_ed = np.zeros((g, g), dtype=np.int64)
     sq_parts = np.zeros((3, g, g), dtype=np.int64)
     for lo, hi in bounds:
-        exact, approx = chunk_products(grid, lo, hi)
-        totals = merge(totals, accumulate_arrays(exact, approx))
+        exact, ed = chunk_errors(grid, lo, hi)
         rows = min(s, hi - lo)   # operand rows per block within this chunk
-        blocks = np.abs(exact - approx).reshape(-1, rows, g, s)
+        blocks = ed.reshape(-1, rows, g, s)
+        squares = square_partials(blocks, axis=(1, 3))
+        # fewer than 2^31 values per sweep: the int64 partial sums cannot wrap
+        totals = merge(totals, accumulate_arrays(exact, ed, squares.sum(axis=(1, 2))))
         ia = slice(lo // s, lo // s + blocks.shape[0])
         sum_ed[ia] += blocks.sum(axis=(1, 3))
-        sq_parts[:, ia] += square_partials(blocks, axis=(1, 3))
+        sq_parts[:, ia] += squares
+        del exact, ed, blocks   # free this chunk before the next is evaluated
     return ClusterReport(spec, finish_blocks(spec, sum_ed, sq_parts), totals)
 
 
@@ -216,28 +229,32 @@ def ed_histogram(grid: CellGrid, bin_width: int | None = None) -> EdHistogram:
 
     Streams the sweep chunks into exact per-ED counts (ED < 4^n), then
     bins them.  Default bin width is max(1, ceil(max_ed / 64)), sized for
-    plotting.  The count array is filled up front rather than left to
-    zero pages, and the per-chunk work is fixed in size, so memory does
-    not depend on which EDs the design produces.
+    plotting.  The counts are uint32, which holds the 4^n <= 2^24 pairs a
+    sweep may have in one count or bin: 64 MB at width 12.  The count
+    array is filled up front rather than left to zero pages, and the
+    per-chunk work is fixed in size, so memory does not depend on which
+    EDs the design produces.
     """
     if bin_width is not None and bin_width < 1:
         raise ValueError(f"bin width must be >= 1, got {bin_width}")
     bounds = sweep_chunk_bounds(grid.width)
 
-    counts = np.empty(1 << 2 * grid.width, dtype=np.int64)
+    counts = np.empty(1 << 2 * grid.width, dtype=np.uint32)
     counts.fill(0)
+    one = np.uint32(1)   # a Python int here would leave np.add.at's fast path
     sum_ed, min_ed, max_ed = 0, counts.size, 0
     for lo, hi in bounds:
-        exact, approx = chunk_products(grid, lo, hi)
-        ed = np.abs(exact - approx).ravel()
-        np.add.at(counts, ed, 1)
+        ed = chunk_errors(grid, lo, hi)[1].ravel()
+        np.add.at(counts, ed, one)
         sum_ed += int(ed.sum())
         min_ed = min(min_ed, int(ed.min()))
         max_ed = max(max_ed, int(ed.max()))
+        del ed   # free this chunk before the next is evaluated
 
     if bin_width is None:
         bin_width = max(1, math.ceil(max_ed / 64))
-    binned = np.add.reduceat(counts[:max_ed + 1], np.arange(0, max_ed + 1, bin_width))
+    binned = np.add.reduceat(counts[:max_ed + 1], np.arange(0, max_ed + 1, bin_width),
+                             dtype=counts.dtype)
     total = int(counts.sum())
     return EdHistogram(
         bin_width=bin_width,

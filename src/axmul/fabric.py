@@ -113,9 +113,6 @@ class CellGrid:
     output_taps: tuple[int, ...]   # signal id of product bit w, for w = 0..2n-1
     signal_count: int
 
-    def pp_signal(self, i: int, j: int) -> int:
-        return 1 + i * self.width + j
-
 
 class _GridBuilder:
     def __init__(self, config: MultiplierConfig, library: AdderLibrary):

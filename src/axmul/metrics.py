@@ -14,11 +14,11 @@ sum that int64 could wrap.
 
 Exhaustive sweeps stop at MAX_SWEEP_WIDTH.  Memory is bounded by one
 chunk (1/16 of the 4^n pairs) plus the per-block sums, so a width-12
-sweep peaks at about 130 MB RSS (the ED histogram also keeps 4^n counts,
-about 210 MB); each added bit multiplies both by four, so wider sweeps
-are refused before anything is allocated.  Grids wider than that (up to
-fabric.MAX_WIDTH) can still be built and evaluated on chosen operand
-pairs.
+sweep peaks at about 67 MB RSS (the ED histogram also keeps 4^n uint32
+counts, 64 MB, and peaks at about 123 MB); each added bit multiplies
+both by four, so wider sweeps are refused before anything is allocated.
+Grids wider than that (up to fabric.MAX_WIDTH) can still be built and
+evaluated on chosen operand pairs.
 """
 
 from __future__ import annotations
@@ -57,17 +57,21 @@ def merge(a: MetricAccumulator, b: MetricAccumulator) -> MetricAccumulator:
     )
 
 
-def accumulate_arrays(exact: np.ndarray, approx: np.ndarray) -> MetricAccumulator:
-    """Build an accumulator from parallel exact/approximate product arrays."""
-    exact = np.asarray(exact, dtype=np.int64)
-    ed = np.abs(exact - np.asarray(approx, dtype=np.int64))
+def accumulate_arrays(exact: np.ndarray, ed: np.ndarray,
+                      squares: np.ndarray) -> MetricAccumulator:
+    """Build an accumulator from parallel int64 exact-product and ED arrays.
+
+    `squares` are the `square_partials` of `ed`, summed to shape (3,); the
+    caller forms them once and may reuse them, as the block fold does.
+    """
     nonzero = exact > 0
-    red = ed[nonzero] / exact[nonzero]
+    red = ed[nonzero].astype(np.float64)   # divided in place: one float array
+    red /= exact[nonzero]
     return MetricAccumulator(
         count=int(ed.size),
         err_count=int(np.count_nonzero(ed)),
         sum_ed=int(ed.sum()),
-        sum_ed_sq=sum_squares(ed),
+        sum_ed_sq=combine_squares(*squares.tolist()),
         max_ed=int(ed.max(initial=0)),
         sum_red=float(red.sum()),
         red_count=int(np.count_nonzero(nonzero)),
@@ -91,11 +95,6 @@ def square_partials(values: np.ndarray, axis=None) -> np.ndarray:
 def combine_squares(hh, hl, ll):
     """Recombine `square_partials` given as Python ints (or object arrays of them)."""
     return (hh << 32) + (hl << 17) + ll
-
-
-def sum_squares(values: np.ndarray) -> int:
-    """Exact sum of squares of integers in [0, 2^32), as a Python int."""
-    return combine_squares(*square_partials(values).tolist())
 
 
 def psnr_from_mse(mse: float) -> float:
@@ -186,7 +185,9 @@ def chunk_operands(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
 def sweep_chunk(grid: CellGrid, lo: int, hi: int) -> MetricAccumulator:
     """Accumulate outcomes for first operand in [lo, hi), all second operands."""
     xs, ys = chunk_operands(grid.width, lo, hi)
-    return accumulate_arrays(xs * ys, eval_multiply_many(grid, xs, ys))
+    exact = xs * ys
+    ed = np.abs(exact - eval_multiply_many(grid, xs, ys))
+    return accumulate_arrays(exact, ed, square_partials(ed))
 
 
 def exhaustive_sweep(grid: CellGrid) -> MetricAccumulator:

@@ -1,6 +1,8 @@
 import hashlib
+import importlib.util
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -273,21 +275,31 @@ def test_select_threshold_extremes(fake_ama_file, tmp_path):
     assert summary["exact_fraction"] == 0.0
 
 
-@pytest.mark.parametrize("command", ["sweep", "clusters", "select"])
-@pytest.mark.parametrize("bad, code", [
-    (["--ned-threshold", "-1"], 1),
-    (["--psnr-threshold", "-1"], 1),
-    (["--workers", "0"], 1),
-    (["--format", "csv,xml"], 1),
-    (["--library", "missing.json"], 2),
-    (["--library", "malformed.json"], 2),
-], ids=["ned-threshold", "psnr-threshold", "workers", "format",
-        "missing-library", "malformed-library"])
+BAD_INPUTS = {
+    "ned-threshold": (["--ned-threshold", "-1"], 1),
+    "psnr-threshold": (["--psnr-threshold", "-1"], 1),
+    "workers": (["--workers", "0"], 1),
+    "format": (["--format", "csv,xml"], 1),
+    "missing-library": (["--library", "missing.json"], 2),
+    "malformed-library": (["--library", "malformed.json"], 2),
+}
+BAD_INPUT_CASES = {
+    **{f"{name}-{command}": (command, bad, code)
+       for name, (bad, code) in BAD_INPUTS.items()
+       for command in ("sweep", "clusters", "select")},
+    # the design library exists at width 8 only
+    "width-table": ("table", ["--width", "10", "--ordinals", "1"], 1),
+    "width-select": ("select", ["--width", "4", "--cluster-size", "64"], 1),
+}
+
+
+@pytest.mark.parametrize("command, bad, code", BAD_INPUT_CASES.values(),
+                         ids=BAD_INPUT_CASES.keys())
 def test_bad_input_exit_codes(fake_ama_file, tmp_path, command, bad, code,
                               eval_pair_counts):
     (tmp_path / "malformed.json").write_text(json.dumps([
         {"name": "SHORT", "sum_bits": "0110100", "cout_bits": "00010111"}]))
-    design = [] if command == "select" else ["--type", "AMA1", "--degree", "D1"]
+    design = ["--type", "AMA1", "--degree", "D1"] if command in ("sweep", "clusters") else []
     bad = [str(tmp_path / a) if a.endswith(".json") else a for a in bad]
     out = tmp_path / "out"
     # a later --library overrides the good one
@@ -297,7 +309,8 @@ def test_bad_input_exit_codes(fake_ama_file, tmp_path, command, bad, code,
     assert not out.exists()
 
 
-EXPECTED_DIR = Path(__file__).resolve().parent.parent / "bench" / "expected"
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+EXPECTED_DIR = BENCH_DIR / "expected"
 GOLDEN_COMMON = ["--width", "8", "--architecture", "row_ripple"]
 
 
@@ -324,3 +337,28 @@ def test_outputs_match_committed_digests(workload, key, args, tmp_path, capsys):
              for p in tmp_path.iterdir()}
     assert files == expected["files"]
     assert hashlib.sha256(stdout).hexdigest() == expected["stdout"]
+
+
+def test_bench_trace_wraps_every_layer_name(monkeypatch):
+    """`bench/run.py --trace 1` wraps the layer functions by name; each must exist."""
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH_DIR / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)   # its dataclasses look it up
+    spec.loader.exec_module(spans)
+
+    def bound():
+        found = {}
+        for name in spans.TRACED:
+            module, attr = name.split(".")
+            # AttributeError here names a traced function that no longer exists
+            found[name] = getattr(importlib.import_module(f"axmul.{module}"), attr)
+        return found
+
+    before = bound()
+    evaluator = axmul.clustering.eval_multiply_many
+    with spans.instrument(spans.Tracer()):
+        during = bound()
+        assert axmul.clustering.eval_multiply_many is not evaluator
+    assert [name for name in spans.TRACED if during[name] is before[name]] == []
+    assert bound() == before
+    assert axmul.clustering.eval_multiply_many is evaluator

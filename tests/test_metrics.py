@@ -7,12 +7,12 @@ import pytest
 import axmul.clustering
 import axmul.metrics
 from axmul.adders import AdderLibrary
-from axmul.clustering import cluster_sweep, ed_histogram
+from axmul.clustering import ClusterSpec, cluster_sweep, ed_histogram
 from axmul.fabric import MultiplierConfig, build_multiplier, eval_multiply
 from axmul.metrics import (MAX_SWEEP_WIDTH, MetricAccumulator,
-                           accumulate_arrays, combine_squares, exhaustive_sweep,
-                           finalize, merge, psnr_from_mse, square_partials,
-                           sum_squares, sweep_chunk, sweep_chunk_bounds)
+                           accumulate_arrays, chunk_operands, combine_squares,
+                           exhaustive_sweep, finalize, merge, psnr_from_mse,
+                           square_partials, sweep_chunk, sweep_chunk_bounds)
 from conftest import random_adder
 from oracles import EvalOutcome, accumulate, oracle_metrics
 
@@ -182,11 +182,31 @@ def test_integer_statistics_are_exact():
 
 
 def test_sum_ed_sq_is_exact_past_int64():
-    # 2^17 pairs at ED 2^24 - 1 square-sum to about 2^65
-    exact = np.full(1 << 17, (1 << 24) - 1, dtype=np.int64)
-    acc = accumulate_arrays(exact, np.zeros_like(exact))
+    # 2^17 pairs at ED 2^24 - 1 (approximate product 0) square-sum to about 2^65
+    ed = np.full(1 << 17, (1 << 24) - 1, dtype=np.int64)
+    acc = accumulate_arrays(ed, ed, square_partials(ed))
     assert acc.sum_ed_sq == (1 << 17) * ((1 << 24) - 1) ** 2
     assert finalize(acc, 1).mse == float(((1 << 24) - 1) ** 2)
+
+
+def test_cluster_sweep_sum_ed_sq_is_exact_past_int64(monkeypatch):
+    # width-12 chunks of 2^20 pairs, every ED 2^24 - 1: the whole-domain
+    # squared-ED sum is about 2^72, each chunk's about 2^68
+    top = (1 << 24) - 1
+
+    def chunk_errors(grid, lo, hi):
+        xs, ys = chunk_operands(grid.width, lo, hi)
+        return xs * ys, np.full(xs.shape, top, dtype=np.int64)
+    monkeypatch.setattr(axmul.clustering, "chunk_errors", chunk_errors)
+    grid = build_multiplier(MultiplierConfig(12, "exact", 0), EXACT_LIB)
+    report = cluster_sweep(grid, ClusterSpec(12, 256))
+    totals = report.totals
+    assert totals.count == 1 << 24
+    assert totals.sum_ed == (1 << 24) * top
+    assert totals.sum_ed_sq == (1 << 24) * top ** 2
+    assert totals.sum_ed_sq >= 1 << 63
+    assert totals.max_ed == top
+    assert report.cells["sum_ed_sq"].tolist() == [(1 << 16) * top ** 2] * 256
 
 
 def test_sum_squares_matches_python_ints():
@@ -199,7 +219,8 @@ def test_sum_squares_matches_python_ints():
         for ib in range(4):
             want = sum(int(v) ** 2 for v in values[ia, :, ib, :].ravel())
             assert combine_squares(*blocks[:, ia, ib].tolist()) == want
-    assert sum_squares(values) == sum(int(v) ** 2 for v in values.ravel())
+    whole = combine_squares(*square_partials(values).tolist())
+    assert whole == sum(int(v) ** 2 for v in values.ravel())
 
 
 def test_sweeps_reject_width_above_limit_before_evaluating(monkeypatch):
@@ -207,6 +228,8 @@ def test_sweeps_reject_width_above_limit_before_evaluating(monkeypatch):
         raise AssertionError("evaluated a grid that is too wide to sweep")
     monkeypatch.setattr(axmul.metrics, "eval_multiply_many", never)
     monkeypatch.setattr(axmul.clustering, "eval_multiply_many", never)
+    # the histogram's uint32 counts hold every pair of the widest sweep
+    assert 4 ** MAX_SWEEP_WIDTH < 2 ** 32
     grid = build_multiplier(MultiplierConfig(MAX_SWEEP_WIDTH + 1, "exact", 0),
                             EXACT_LIB)
     for sweep in (exhaustive_sweep, cluster_sweep, ed_histogram):
