@@ -27,9 +27,9 @@ from .adders import (AdderFormatError, AdderLibrary, UnknownAdderError,
 from .clustering import (ClusterSpec, cluster_csv, cluster_matrix, cluster_sweep,
                          ed_histogram, histogram_csv)
 from .designspace import (DEGREE_BITS, LIBRARY_WIDTH, SelectionPolicy,
-                          analyze_design, library_metrics_table,
-                          select_per_cluster, selection_csv, selection_summary,
-                          table_csv)
+                          analyze_design, enumerate_library,
+                          library_metrics_table, select_per_cluster,
+                          selection_csv, selection_summary, table_csv)
 from .fabric import MultiplierConfig, build_multiplier
 from .metrics import fmt6, report_csv_header, report_csv_row
 
@@ -171,15 +171,14 @@ def _design_config(args, library: AdderLibrary) -> tuple[str, MultiplierConfig]:
     return f"{args.type}_{label}", config
 
 
-def _library_designs(args) -> list:
-    """The analyzed 20-design library; it exists at one width only."""
+def _library_entries(args) -> tuple[AdderLibrary, list]:
+    """The library file and its 20 (DesignId, config) entries; one width only."""
     if args.width != LIBRARY_WIDTH:
         raise ValueError(f"{args.command} analyzes the {LIBRARY_WIDTH}-bit design "
                          f"library; --width {args.width} is not supported")
     library = load_library_file(args.library or default_library_path())
-    return library_metrics_table(library, cluster_size=args.cluster_size,
-                                 workers=args.workers, half_adders=args.half_adders,
-                                 architecture=args.architecture)
+    return library, enumerate_library(library, half_adders=args.half_adders,
+                                      architecture=args.architecture)
 
 
 def cmd_validate(args) -> int:
@@ -202,7 +201,7 @@ def cmd_sweep(args) -> int:
     if "json" in args.format:
         _write(args.out, f"sweep_{name}.json", _json_text(report.to_dict()))
     if "csv" in args.format:
-        csv_text = (report_csv_header(("design", "type", "degree")) + "\n" +
+        csv_text = (report_csv_header() + "\n" +
                     report_csv_row(report, (name, args.type, str(config.degree))) + "\n")
         _write(args.out, f"sweep_{name}.csv", csv_text)
     print(f"{name}: er={fmt6(report.er)} med={fmt6(report.med)} "
@@ -212,16 +211,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_table(args) -> int:
-    rows = _library_designs(args)
+    library, entries = _library_entries(args)
     if args.type:
-        rows = [r for r in rows if r.design.type_knob == args.type]
+        entries = [e for e in entries if e[0].type_knob == args.type]
     if args.degree:
-        rows = [r for r in rows if r.design.degree_knob == args.degree.upper()]
+        entries = [e for e in entries if e[0].degree_knob == args.degree.upper()]
     if args.ordinals:
         keep = {int(tok) for tok in args.ordinals.split(",")}
-        rows = [r for r in rows if r.design.ordinal in keep]
-    if not rows:
+        entries = [e for e in entries if e[0].ordinal in keep]
+    if not entries:
         raise ValueError("design filter matched no rows")
+    rows = library_metrics_table(entries, library, cluster_size=args.cluster_size,
+                                 workers=args.workers)
 
     if "csv" in args.format:
         _write(args.out, "library_table.csv", table_csv(rows))
@@ -246,10 +247,10 @@ def cmd_clusters(args) -> int:
 
     if "csv" in args.format:
         _write(args.out, f"clusters_{name}.csv", cluster_csv(report))
-        _write(args.out, f"clusters_{name}_ned.txt", cluster_matrix(report, "ned"))
+        _write(args.out, f"clusters_{name}_ned.txt", cluster_matrix(report))
     if "svg" in args.format:
         _write(args.out, f"clusters_{name}.svg",
-               render.cluster_svg(report, "ned", f"per-cluster NED, {name}"))
+               render.cluster_svg(report, f"per-cluster NED, {name}"))
     if "json" in args.format:
         doc = {
             "design": name,
@@ -291,7 +292,9 @@ def cmd_histogram(args) -> int:
 
 
 def cmd_select(args) -> int:
-    rows = _library_designs(args)
+    library, entries = _library_entries(args)
+    rows = library_metrics_table(entries, library, cluster_size=args.cluster_size,
+                                 workers=args.workers)
     policy = SelectionPolicy(args.metric,
                              args.ned_threshold if args.metric == "ned"
                              else args.psnr_threshold)

@@ -22,6 +22,7 @@ from .metrics import (PEAK_SQUARED, MetricAccumulator, accumulate_arrays,
 
 
 MAX_BLOCKS = 1 << 20   # grid side <= 1024; the report keeps a row per block
+MAX_BINS = 1 << 16     # every bin width fits at width 8, where ED < 2^16
 
 
 @dataclass(frozen=True)
@@ -207,10 +208,10 @@ def cluster_csv(report: ClusterReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cluster_matrix(report: ClusterReport, field: str = "ned") -> str:
-    """Whitespace matrix (one row per ia) for heat-map tooling."""
+def cluster_matrix(report: ClusterReport) -> str:
+    """Whitespace NED matrix (one row per ia) for heat-map tooling."""
     g = report.spec.grid_side
-    rows = report.cells[field].reshape(g, g).tolist()
+    rows = report.cells["ned"].reshape(g, g).tolist()
     return "\n".join(" ".join(fmt6(v) for v in row) for row in rows) + "\n"
 
 
@@ -233,10 +234,16 @@ def ed_histogram(grid: CellGrid, bin_width: int | None = None) -> EdHistogram:
     sweep may have in one count or bin: 64 MB at width 12.  The count
     array is filled up front rather than left to zero pages, and the
     per-chunk work is fixed in size, so memory does not depend on which
-    EDs the design produces.
+    EDs the design produces.  A bin width that could give more than
+    MAX_BINS bins is refused before anything is evaluated.
     """
-    if bin_width is not None and bin_width < 1:
-        raise ValueError(f"bin width must be >= 1, got {bin_width}")
+    if bin_width is not None:
+        if bin_width < 1:
+            raise ValueError(f"bin width must be >= 1, got {bin_width}")
+        most = ((1 << 2 * grid.width) - 1) // bin_width + 1
+        if most > MAX_BINS:
+            raise ValueError(f"bin width {bin_width} could give {most} bins at width "
+                             f"{grid.width}; at most {MAX_BINS} are supported")
     bounds = sweep_chunk_bounds(grid.width)
 
     counts = np.empty(1 << 2 * grid.width, dtype=np.uint32)

@@ -33,10 +33,6 @@ class DesignId:
     def label(self) -> str:
         return f"Design{self.ordinal}"
 
-    @property
-    def name(self) -> str:
-        return f"{self.type_knob}_{self.degree_knob}"
-
 
 def design_id(type_knob: str, degree_knob: str) -> DesignId:
     ti = AMA_TYPES.index(type_knob)
@@ -85,17 +81,15 @@ def analyze_design(config: MultiplierConfig, library: AdderLibrary,
     return report, clusters
 
 
-def library_metrics_table(library: AdderLibrary, cluster_size: int = 16,
-                          workers: int = 1, half_adders: str | None = None,
-                          architecture: str = "row_ripple") -> list[TableRow]:
-    """One analyzed row per design, ordered by ordinal.
+def library_metrics_table(entries: list[tuple[DesignId, MultiplierConfig]],
+                          library: AdderLibrary, cluster_size: int = 16,
+                          workers: int = 1) -> list[TableRow]:
+    """One analyzed row per `enumerate_library` entry, in the entries' order.
 
     Rows are independent jobs; with workers > 1 they run in a process
-    pool and are still collected in ordinal order, so the result is
-    identical for any worker count.
+    pool and are still collected in order, so the result is identical
+    for any worker count.
     """
-    entries = enumerate_library(library, half_adders=half_adders,
-                                architecture=architecture)
     jobs = ([cfg for _, cfg in entries], repeat(library), repeat(cluster_size))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -108,7 +102,7 @@ def library_metrics_table(library: AdderLibrary, cluster_size: int = 16,
 
 
 def table_csv(rows: list[TableRow]) -> str:
-    lines = [report_csv_header(("design", "type", "degree"))]
+    lines = [report_csv_header()]
     for row in rows:
         lines.append(report_csv_row(
             row.report,

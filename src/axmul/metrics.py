@@ -12,13 +12,11 @@ run.  The squared-distance sum outgrows 63 bits (AMA2 at width 12 reaches
 about 2^68.6), so it goes through `square_partials`, which never forms a
 sum that int64 could wrap.
 
-Exhaustive sweeps stop at MAX_SWEEP_WIDTH.  Memory is bounded by one
-chunk (1/16 of the 4^n pairs) plus the per-block sums, so a width-12
-sweep peaks at about 67 MB RSS (the ED histogram also keeps 4^n uint32
-counts, 64 MB, and peaks at about 123 MB); each added bit multiplies
-both by four, so wider sweeps are refused before anything is allocated.
-Grids wider than that (up to fabric.MAX_WIDTH) can still be built and
-evaluated on chosen operand pairs.
+Memory is bounded by one chunk (1/16 of the 4^n pairs) plus the
+per-block sums, so a sweep at the widest width `MultiplierConfig`
+accepts, fabric.MAX_WIDTH = 12, peaks at about 67 MB RSS (the ED
+histogram also keeps 4^n uint32 counts, 64 MB, and peaks at about
+123 MB); each added bit would multiply both by four.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ import numpy as np
 from .fabric import CellGrid, eval_multiply_many
 
 PEAK_SQUARED = 255 * 255   # PSNR numerator is fixed at 255^2 for every width
-MAX_SWEEP_WIDTH = 12
 
 
 @dataclass(frozen=True)
@@ -160,12 +157,8 @@ def sweep_chunk_bounds(n: int) -> list[tuple[int, int]]:
     """Fixed first-operand partition of the sweep domain.
 
     Chunking depends only on the width, so every sweep of a design merges
-    the same chunks in the same order.  Widths above
-    MAX_SWEEP_WIDTH are rejected here, before any sweep allocates.
+    the same chunks in the same order.
     """
-    if n > MAX_SWEEP_WIDTH:
-        raise ValueError(
-            f"exhaustive sweeps support widths up to {MAX_SWEEP_WIDTH}, got {n}")
     side = 1 << n
     chunks = min(16, side)
     step = side // chunks
@@ -202,14 +195,16 @@ def exhaustive_sweep(grid: CellGrid) -> MetricAccumulator:
     return acc
 
 
-def report_csv_header(extra: tuple[str, ...] = ()) -> str:
-    base = ("er", "med", "ned", "mred", "mse", "psnr",
-            "ned_global", "psnr_global", "max_ed", "count")
-    return ",".join(extra + base)
+def report_csv_header() -> str:
+    return ",".join(("design", "type", "degree", "er", "med", "ned", "mred", "mse",
+                     "psnr", "ned_global", "psnr_global", "max_ed", "count"))
 
 
-def report_csv_row(report: MetricReport, extra: tuple[str, ...] = ()) -> str:
-    """One CSV row in accuracy-table column order; floats at 6 significant digits."""
+def report_csv_row(report: MetricReport, design: tuple[str, str, str]) -> str:
+    """One CSV row in accuracy-table column order; floats at 6 significant digits.
+
+    `design` fills the header's design, type and degree columns.
+    """
     fields = (
         fmt6(report.er),
         fmt6(report.med),
@@ -222,7 +217,7 @@ def report_csv_row(report: MetricReport, extra: tuple[str, ...] = ()) -> str:
         str(report.max_ed),
         str(report.count),
     )
-    return ",".join(extra + fields)
+    return ",".join(design + fields)
 
 
 def fmt6(value) -> str:

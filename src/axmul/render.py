@@ -68,9 +68,8 @@ def _heat_color(frac: float) -> str:
     return f"#ff{g:02x}{g:02x}"
 
 
-def cluster_svg(report: ClusterReport, field: str = "ned",
-                title: str = "per-cluster NED") -> str:
-    """Heat map of one cluster field over the operand-block grid."""
+def cluster_svg(report: ClusterReport, title: str = "per-cluster NED") -> str:
+    """Heat map of the per-block NED over the operand-block grid."""
     g = report.spec.grid_side
     cell_px = max(4, 320 // g)
     grid_px = cell_px * g
@@ -79,7 +78,7 @@ def cluster_svg(report: ClusterReport, field: str = "ned",
     parts = _header(width, height, title)
 
     cells = report.cells
-    values = cells[field].tolist()
+    values = cells["ned"].tolist()
     finite = [v for v in values if math.isfinite(v)]
     peak = max(finite) if finite else 1.0
     low = min(finite) if finite else 0.0
@@ -87,9 +86,6 @@ def cluster_svg(report: ClusterReport, field: str = "ned",
 
     for ia, ib, v in zip(cells["ia"].tolist(), cells["ib"].tolist(), values):
         frac = 1.0 if not math.isfinite(v) else (v - low) / span
-        # PSNR is a quality metric: low is bad, so invert the ramp
-        if field == "psnr":
-            frac = 0.0 if not math.isfinite(v) else 1.0 - (v - low) / span
         x = _MARGIN + ib * cell_px
         y = _MARGIN + ia * cell_px
         parts.append(f'<rect x="{x}" y="{y}" width="{cell_px}" height="{cell_px}" '
@@ -99,6 +95,6 @@ def cluster_svg(report: ClusterReport, field: str = "ned",
                  f'height="{grid_px}" fill="none" stroke="black"/>')
     parts.append(f'<text x="{_MARGIN}" y="{_MARGIN + grid_px + 16}" '
                  f'font-family="sans-serif" font-size="10">operand-2 blocks →'
-                 f' (operand-1 blocks ↓), {field} from {low:.6g} to {peak:.6g}</text>')
+                 f' (operand-1 blocks ↓), ned from {low:.6g} to {peak:.6g}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

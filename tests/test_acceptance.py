@@ -23,7 +23,7 @@ from axmul.calibration import (SPOT_CHECKS, compare_to_published,
                                write_deviation_report)
 from axmul.cli import default_library_path, main
 from axmul.clustering import ClusterSpec, cluster_sweep, ed_histogram
-from axmul.designspace import design_id, library_metrics_table
+from axmul.designspace import design_id, enumerate_library, library_metrics_table
 from axmul.fabric import (MultiplierConfig, build_multiplier,
                           eval_multiply_many)
 from axmul.metrics import (MetricAccumulator, exhaustive_sweep, finalize, merge,
@@ -51,7 +51,7 @@ def shipped_library():
 @pytest.fixture(scope="module")
 def shipped_table(shipped_library):
     start = time.monotonic()
-    rows = library_metrics_table(shipped_library)
+    rows = library_metrics_table(enumerate_library(shipped_library), shipped_library)
     elapsed = time.monotonic() - start
     assert elapsed < 120.0, f"20 exhaustive sweeps took {elapsed:.1f}s (limit 120s)"
     comparison = compare_to_published(rows)

@@ -9,7 +9,7 @@ import pytest
 
 import axmul.clustering
 import axmul.metrics
-from axmul.cli import default_library_path, main, parse_degree
+from axmul.cli import build_parser, default_library_path, main, parse_degree
 from axmul.adders import dump_library, AdderLibrary
 from axmul.designspace import AMA_TYPES
 from conftest import random_adder
@@ -205,6 +205,24 @@ def test_table_filters(fake_ama_file, tmp_path, capsys):
                  "--out", str(out)]) == 1
 
 
+def test_filtered_table_analyzes_only_matching_designs(fake_ama_file, tmp_path,
+                                                       eval_pair_counts):
+    assert main(["table", "--library", fake_ama_file, "--type", "AMA5",
+                 "--out", str(tmp_path)]) == 0
+    assert sum(eval_pair_counts) == 4 * 4 ** 8
+
+
+@pytest.mark.parametrize("design_filter", [["--type", "NOPE"], ["--ordinals", "99"]])
+def test_table_filter_matching_nothing_is_usage_error(fake_ama_file, tmp_path, capsys,
+                                                      design_filter, eval_pair_counts):
+    out = tmp_path / "out"
+    assert main(["table", "--library", fake_ama_file, *design_filter,
+                 "--out", str(out)]) == 1
+    assert "matched no rows" in capsys.readouterr().err
+    assert eval_pair_counts == []
+    assert not out.exists()
+
+
 def test_table_determinism_and_workers(fake_ama_file, tmp_path):
     runs = {}
     for tag, workers in (("a", "1"), ("b", "1"), ("c", "2")):
@@ -290,6 +308,9 @@ BAD_INPUT_CASES = {
     # the design library exists at width 8 only
     "width-table": ("table", ["--width", "10", "--ordinals", "1"], 1),
     "width-select": ("select", ["--width", "4", "--cluster-size", "64"], 1),
+    # at most 2^16 histogram bins, whatever the design's EDs turn out to be
+    "bin-width-histogram": ("histogram", ["--width", "10", "--bin-width", "1"], 1),
+    "bin-width-zero-histogram": ("histogram", ["--bin-width", "0"], 1),
 }
 
 
@@ -299,7 +320,8 @@ def test_bad_input_exit_codes(fake_ama_file, tmp_path, command, bad, code,
                               eval_pair_counts):
     (tmp_path / "malformed.json").write_text(json.dumps([
         {"name": "SHORT", "sum_bits": "0110100", "cout_bits": "00010111"}]))
-    design = ["--type", "AMA1", "--degree", "D1"] if command in ("sweep", "clusters") else []
+    design = (["--type", "AMA1", "--degree", "D1"]
+              if command in ("sweep", "clusters", "histogram") else [])
     bad = [str(tmp_path / a) if a.endswith(".json") else a for a in bad]
     out = tmp_path / "out"
     # a later --library overrides the good one
@@ -339,12 +361,18 @@ def test_outputs_match_committed_digests(workload, key, args, tmp_path, capsys):
     assert hashlib.sha256(stdout).hexdigest() == expected["stdout"]
 
 
+def load_bench_module(name, monkeypatch):
+    """bench/<name>.py, imported without putting bench/ on the path."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)   # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bench_trace_wraps_every_layer_name(monkeypatch):
     """`bench/run.py --trace 1` wraps the layer functions by name; each must exist."""
-    spec = importlib.util.spec_from_file_location("bench_spans", BENCH_DIR / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, spans)   # its dataclasses look it up
-    spec.loader.exec_module(spans)
+    spans = load_bench_module("spans", monkeypatch)
 
     def bound():
         found = {}
@@ -362,3 +390,18 @@ def test_bench_trace_wraps_every_layer_name(monkeypatch):
     assert [name for name in spans.TRACED if during[name] is before[name]] == []
     assert bound() == before
     assert axmul.clustering.eval_multiply_many is evaluator
+
+
+def test_bench_command_lines_parse(monkeypatch, tmp_path):
+    """Every command line the benchmark runs is accepted by the parser."""
+    workloads = load_bench_module("workloads", monkeypatch)
+    (tmp_path / "work").mkdir()
+    parser = build_parser()
+    for make in workloads.WORKLOADS.values():
+        # random-wide-w10 writes its generated library under tmp_path
+        workload = make(1, Path("work"), tmp_path)
+        assert parser.parse_args(["validate", workload.library]).command == "validate"
+        for command in workload.commands:
+            # an unknown flag exits 1 here through the parser's error()
+            args = parser.parse_args([*command.args, "--out", str(tmp_path / "out")])
+            assert args.command == command.args[0]

@@ -220,8 +220,8 @@ def test_policy_validation():
 
 def test_table_rows_deterministic_and_ordered():
     lib = fake_ama_library()
-    rows1 = library_metrics_table(lib)
-    rows2 = library_metrics_table(lib)
+    rows1 = library_metrics_table(enumerate_library(lib), lib)
+    rows2 = library_metrics_table(enumerate_library(lib), lib)
     assert [r.design.ordinal for r in rows1] == list(range(1, 21))
     assert table_csv(rows1) == table_csv(rows2)
     assert all(r.report.ned_clustered_avg is not None for r in rows1)
