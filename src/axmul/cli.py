@@ -73,6 +73,14 @@ def format_list(text: str) -> tuple[str, ...]:
     return formats
 
 
+def ordinal_list(text: str) -> set[int]:
+    try:
+        return {int(tok) for tok in text.split(",")} if text else set()
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of design ordinals, got {text!r}") from None
+
+
 def parse_degree(text: str, width: int) -> tuple[str, int]:
     """Accept D1..D4 names or a plain integer bit count."""
     name = text.upper()
@@ -106,12 +114,6 @@ def _add_common(sub, with_design=False):
                      default="row_ripple",
                      help="array layout (default: row_ripple, which the "
                           "shipped library is calibrated against)")
-    sub.add_argument("--half-adders", choices=("approximate", "exact"),
-                     default=None,
-                     help="tables at constant-fed cell positions: approximate "
-                          "applies the weight rule uniformly, exact keeps "
-                          "plain half adders there (default follows the "
-                          "architecture)")
     if with_design:
         sub.add_argument("--type", required=True, help="adder type name")
         sub.add_argument("--degree", required=True, help="D1..D4 or bit count")
@@ -134,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(t)
     t.add_argument("--type", default=None, help="filter rows by adder type")
     t.add_argument("--degree", default=None, help="filter rows by degree")
-    t.add_argument("--ordinals", default=None, help="comma list of design ordinals")
+    t.add_argument("--ordinals", type=ordinal_list, default=None,
+                   help="comma list of design ordinals")
     t.set_defaults(func=cmd_table)
 
     c = subs.add_parser("clusters", help="per-cluster NED/PSNR analysis of one design")
@@ -165,7 +168,6 @@ def _json_text(obj) -> str:
 def _design_config(args, library: AdderLibrary) -> tuple[str, MultiplierConfig]:
     label, bits = parse_degree(args.degree, args.width)
     config = MultiplierConfig(args.width, args.type, bits,
-                              half_adders=args.half_adders,
                               architecture=args.architecture)
     library.get(args.type)   # fail early with a resolution error
     return f"{args.type}_{label}", config
@@ -177,8 +179,7 @@ def _library_entries(args) -> tuple[AdderLibrary, list]:
         raise ValueError(f"{args.command} analyzes the {LIBRARY_WIDTH}-bit design "
                          f"library; --width {args.width} is not supported")
     library = load_library_file(args.library or default_library_path())
-    return library, enumerate_library(library, half_adders=args.half_adders,
-                                      architecture=args.architecture)
+    return library, enumerate_library(library, architecture=args.architecture)
 
 
 def cmd_validate(args) -> int:
@@ -217,8 +218,7 @@ def cmd_table(args) -> int:
     if args.degree:
         entries = [e for e in entries if e[0].degree_knob == args.degree.upper()]
     if args.ordinals:
-        keep = {int(tok) for tok in args.ordinals.split(",")}
-        entries = [e for e in entries if e[0].ordinal in keep]
+        entries = [e for e in entries if e[0].ordinal in args.ordinals]
     if not entries:
         raise ValueError("design filter matched no rows")
     rows = library_metrics_table(entries, library, cluster_size=args.cluster_size,

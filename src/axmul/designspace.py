@@ -40,8 +40,7 @@ def design_id(type_knob: str, degree_knob: str) -> DesignId:
     return DesignId(type_knob, degree_knob, 4 * ti + di + 1, DEGREE_BITS[degree_knob])
 
 
-def enumerate_library(library: AdderLibrary, half_adders: str | None = None,
-                      architecture: str = "row_ripple",
+def enumerate_library(library: AdderLibrary, architecture: str = "row_ripple",
                       ) -> list[tuple[DesignId, MultiplierConfig]]:
     """All 20 (DesignId, config) pairs at width 8, in ordinal order.
 
@@ -57,7 +56,6 @@ def enumerate_library(library: AdderLibrary, half_adders: str | None = None,
         for d in DEGREE_NAMES:
             did = design_id(t, d)
             out.append((did, MultiplierConfig(LIBRARY_WIDTH, t, did.degree_bits,
-                                              half_adders=half_adders,
                                               architecture=architecture)))
     return out
 

@@ -17,17 +17,21 @@ constant 0, ids 1..n*n are the partial products, and cell outputs are
 allocated after those.  Cells are stored in a valid evaluation order,
 so running a grid is a single flat loop.
 
-`eval_multiply` runs that loop on one operand pair and is the reference
-the batch evaluator is tested against.  `eval_multiply_many` is
-bit-sliced: every signal is a plane of uint64 words carrying one bit of
-64 operand pairs each, every distinct cell table is turned once into its
-algebraic normal form (an XOR of AND-monomials over a, b and cin), so a
-cell costs a few word-wide AND/XOR operations, and each signal is freed
-after its last reader in the cell order.
+`eval_multiply_many` is the package's one evaluator.  It is bit-sliced:
+every signal is a plane of uint64 words carrying one bit of 64 operand
+pairs each, every distinct cell table is turned once into its algebraic
+normal form (an XOR of AND-monomials over a, b and cin), so a cell costs
+a few word-wide AND/XOR operations, and each signal is freed after its
+last reader in the cell order.  Its scalar reference, one operand pair
+at a time through the same flat loop, is `eval_multiply` in the test
+oracles (tests/oracles.py).
 
 A cell is approximate iff the significance (weight) of its sum output
 is below the configured degree; approximate cells use the configured
-adder tables, everything else uses the exact tables.
+adder tables, everything else uses the exact tables.  The layout alone
+decides the constant-fed cells: row_ripple keeps its half-adder
+positions on exact tables, as a netlist of plain half adders would,
+and carry_save applies the weight rule to every cell.
 """
 
 from __future__ import annotations
@@ -43,27 +47,15 @@ MIN_WIDTH = 2
 MAX_WIDTH = 12   # every accepted width is swept exhaustively; see metrics
 
 ARCHITECTURES = ("carry_save", "row_ripple")
-HALF_ADDER_MODES = ("approximate", "exact")
 
 
 @dataclass(frozen=True)
 class MultiplierConfig:
-    """Width, adder type, approximation degree and array layout.
-
-    `half_adders` controls the degenerate cell positions that have a
-    constant-0 input.  "approximate" applies the weight rule uniformly,
-    so even a constant-fed cell uses the approximate tables; "exact"
-    keeps those positions on exact tables, as a netlist that
-    instantiates plain half adders there would.  The default follows
-    the architecture: uniform tables for carry_save, exact half adders
-    for row_ripple (the combination that reproduces the published
-    accuracy figures of the shipped adder library).
-    """
+    """Width, adder type, approximation degree and array layout."""
 
     width: int = 8
     adder_type: str = "exact"
     degree: int = 0
-    half_adders: str | None = None
     architecture: str = "carry_save"
 
     def __post_init__(self):
@@ -77,12 +69,13 @@ class MultiplierConfig:
         if self.architecture not in ARCHITECTURES:
             raise ValueError(f"architecture must be one of {ARCHITECTURES}, "
                              f"got {self.architecture!r}")
-        if self.half_adders is None:
-            default = "exact" if self.architecture == "row_ripple" else "approximate"
-            object.__setattr__(self, "half_adders", default)
-        if self.half_adders not in HALF_ADDER_MODES:
-            raise ValueError(f"half_adders must be one of {HALF_ADDER_MODES}, "
-                             f"got {self.half_adders!r}")
+
+    @property
+    def half_adders(self) -> str:
+        """Tables at the constant-fed cell positions, fixed by the layout:
+        "exact" half adders for row_ripple, "approximate" (the weight rule
+        like every other cell) for carry_save."""
+        return "exact" if self.architecture == "row_ripple" else "approximate"
 
 
 @dataclass(frozen=True)
@@ -219,44 +212,16 @@ def _build_row_ripple(config: MultiplierConfig, library: AdderLibrary) -> CellGr
     return b.finish(taps, n * (n - 1))
 
 
-def _check_operand(v: int, n: int) -> None:
-    if not 0 <= v < (1 << n):
-        raise ValueError(f"operand {v} out of range for width {n}")
-
-
-def eval_multiply(grid: CellGrid, x: int, y: int) -> int:
-    """Evaluate the wired grid on one operand pair, bit by bit."""
-    n = grid.width
-    _check_operand(x, n)
-    _check_operand(y, n)
-
-    sig = [0] * grid.signal_count
-    for i in range(n):
-        xi = (x >> i) & 1
-        for j in range(n):
-            sig[1 + i * n + j] = xi & ((y >> j) & 1)
-
-    for cell in grid.cells:
-        idx = 4 * sig[cell.in_a] + 2 * sig[cell.in_b] + sig[cell.in_cin]
-        sig[cell.out_sum] = cell.spec.sum_bits[idx]
-        sig[cell.out_cout] = cell.spec.cout_bits[idx]
-
-    product = 0
-    for w, tap in enumerate(grid.output_taps):
-        product |= sig[tap] << w
-    return product
-
-
 def eval_multiply_many(grid: CellGrid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Bit-sliced grid evaluation over parallel operand arrays.
 
-    Same wiring as eval_multiply.  Each signal is a bit plane of uint64
-    words holding 64 operand pairs, so a partial product is one AND and
-    a cell is the XOR of its tables' ANF monomials (see `_anf`), a few
-    word-wide ANDs and XORs.  Constant-0 signals stay symbolic and drop
-    every monomial they enter; a signal is freed after its last reader
-    in the grid's topological cell order, and only the output taps are
-    kept to the end.  Returns the int64 products in the operands' shape.
+    Each signal is a bit plane of uint64 words holding 64 operand pairs,
+    so a partial product is one AND and a cell is the XOR of its tables'
+    ANF monomials (see `_anf`), a few word-wide ANDs and XORs.
+    Constant-0 signals stay symbolic and drop every monomial they enter;
+    a signal is freed after its last reader in the grid's topological
+    cell order, and only the output taps are kept to the end.  Returns
+    the int64 products in the operands' shape.
     """
     n = grid.width
     xs = np.asarray(xs)

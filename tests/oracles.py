@@ -3,7 +3,10 @@
 Everything here recomputes results pair by pair through the scalar
 evaluator and plain arithmetic, deliberately avoiding the vectorized
 sweep and the cluster reduction, so tests compare two genuinely
-different routes.  `accumulate` is the scalar reference for the sweep's
+different routes.  This module is the home of that scalar evaluator:
+`eval_multiply` runs a grid's cells as one flat loop on one operand pair
+and is the reference the package's bit-sliced `fabric.eval_multiply_many`
+is tested against.  `accumulate` is the scalar reference for the sweep's
 accumulator: it folds one operand pair at a time into a MetricAccumulator.
 `oracle_blocks` and `oracle_select` are the per-block loops that the
 columnar cluster report and the selection replaced.
@@ -12,10 +15,38 @@ columnar cluster report and the selection replaced.
 import math
 from dataclasses import dataclass
 
-from axmul.fabric import CellGrid, eval_multiply
+from axmul.fabric import CellGrid
 from axmul.metrics import MetricAccumulator, psnr_from_mse
 
 PEAK_SQ = 255 * 255
+
+
+def _check_operand(v: int, n: int) -> None:
+    if not 0 <= v < (1 << n):
+        raise ValueError(f"operand {v} out of range for width {n}")
+
+
+def eval_multiply(grid: CellGrid, x: int, y: int) -> int:
+    """Evaluate the wired grid on one operand pair, bit by bit."""
+    n = grid.width
+    _check_operand(x, n)
+    _check_operand(y, n)
+
+    sig = [0] * grid.signal_count
+    for i in range(n):
+        xi = (x >> i) & 1
+        for j in range(n):
+            sig[1 + i * n + j] = xi & ((y >> j) & 1)
+
+    for cell in grid.cells:
+        idx = 4 * sig[cell.in_a] + 2 * sig[cell.in_b] + sig[cell.in_cin]
+        sig[cell.out_sum] = cell.spec.sum_bits[idx]
+        sig[cell.out_cout] = cell.spec.cout_bits[idx]
+
+    product = 0
+    for w, tap in enumerate(grid.output_taps):
+        product |= sig[tap] << w
+    return product
 
 
 @dataclass(frozen=True)

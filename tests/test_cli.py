@@ -212,13 +212,18 @@ def test_filtered_table_analyzes_only_matching_designs(fake_ama_file, tmp_path,
     assert sum(eval_pair_counts) == 4 * 4 ** 8
 
 
-@pytest.mark.parametrize("design_filter", [["--type", "NOPE"], ["--ordinals", "99"]])
+@pytest.mark.parametrize("design_filter", [
+    (["--type", "NOPE"], "matched no rows"),
+    (["--ordinals", "99"], "matched no rows"),
+    (["--ordinals", "abc"], "--ordinals"),   # argparse names the flag
+])
 def test_table_filter_matching_nothing_is_usage_error(fake_ama_file, tmp_path, capsys,
                                                       design_filter, eval_pair_counts):
+    args, message = design_filter
     out = tmp_path / "out"
-    assert main(["table", "--library", fake_ama_file, *design_filter,
+    assert main(["table", "--library", fake_ama_file, *args,
                  "--out", str(out)]) == 1
-    assert "matched no rows" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert eval_pair_counts == []
     assert not out.exists()
 
@@ -311,6 +316,8 @@ BAD_INPUT_CASES = {
     # at most 2^16 histogram bins, whatever the design's EDs turn out to be
     "bin-width-histogram": ("histogram", ["--width", "10", "--bin-width", "1"], 1),
     "bin-width-zero-histogram": ("histogram", ["--bin-width", "0"], 1),
+    # the layout alone decides the half-adder positions
+    "half-adders-sweep": ("sweep", ["--half-adders", "exact"], 1),
 }
 
 

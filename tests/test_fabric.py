@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from axmul.adders import AdderLibrary, FullAdderSpec, UnknownAdderError
 from axmul.clustering import ClusterSpec, cluster_sweep, ed_histogram
-from axmul.fabric import (ARCHITECTURES, HALF_ADDER_MODES, MultiplierConfig,
-                          build_multiplier, eval_multiply, eval_multiply_many)
+from axmul.fabric import (ARCHITECTURES, MultiplierConfig, build_multiplier,
+                          eval_multiply_many)
 from axmul.metrics import exhaustive_sweep, finalize
 from conftest import random_adder
-from oracles import oracle_blocks
+from oracles import eval_multiply, oracle_blocks
 
 EXACT_LIB = AdderLibrary()
 
@@ -36,8 +36,6 @@ def test_config_validation():
         MultiplierConfig(8, "exact", 17)
     with pytest.raises(ValueError):
         MultiplierConfig(8, "exact", -1)
-    with pytest.raises(ValueError):
-        MultiplierConfig(8, "exact", 0, half_adders="sometimes")
 
 
 def test_unknown_adder_type():
@@ -116,15 +114,12 @@ operand_shapes = st.one_of(
 @settings(max_examples=80, deadline=None, database=None)
 @given(data=st.data(), width=st.integers(2, 6), sum_bits=bit_tables,
        cout_bits=bit_tables, architecture=st.sampled_from(ARCHITECTURES),
-       half_adders=st.sampled_from(HALF_ADDER_MODES), shape=operand_shapes,
-       seed=st.integers(0, 2 ** 32 - 1))
+       shape=operand_shapes, seed=st.integers(0, 2 ** 32 - 1))
 def test_eval_many_matches_scalar_property(data, width, sum_bits, cout_bits,
-                                           architecture, half_adders, shape,
-                                           seed):
+                                           architecture, shape, seed):
     degree = data.draw(st.integers(0, 2 * width), label="degree")
     lib = AdderLibrary([FullAdderSpec("R", sum_bits, cout_bits)])
-    grid = build(width, "R", degree, library=lib, half_adders=half_adders,
-                 architecture=architecture)
+    grid = build(width, "R", degree, library=lib, architecture=architecture)
     rng = np.random.default_rng(seed)
     xs = rng.integers(0, 1 << width, size=shape)
     ys = rng.integers(0, 1 << width, size=shape)
@@ -200,19 +195,6 @@ def test_weight_rule_cell_assignment():
     assert sum(1 for c in build(8, "exact", 16).cells if c.approximate) == 64
 
 
-def test_half_adder_exact_mode_assignment():
-    grid = build(8, "exact", 16, half_adders="exact")
-    approx = [c for c in grid.cells if c.approximate]
-    # constant-fed cells stay exact: row 1 (8), top column rows 2..7 (6),
-    # the merge start (1) and the top merge cell (1)
-    assert len(approx) == 64 - 16
-    for cell in approx:
-        assert 0 not in (cell.in_a, cell.in_b, cell.in_cin)
-    for cell in grid.cells:
-        if 0 in (cell.in_a, cell.in_b, cell.in_cin):
-            assert not cell.approximate
-
-
 def test_monotone_cell_assignment():
     grids = {d: build(8, "exact", d) for d in (0, 3, 7, 8, 9, 16)}
     degrees = sorted(grids)
@@ -285,12 +267,6 @@ def test_row_ripple_half_adder_positions():
     for cell in grid.cells:
         if cell.role in const_fed:
             assert not cell.approximate
-
-
-def test_row_ripple_uniform_mode_approximates_everything():
-    grid = build(8, "exact", 16, architecture="row_ripple",
-                 half_adders="approximate")
-    assert sum(c.approximate for c in grid.cells) == 56
 
 
 def test_row_ripple_degree_zero_any_adder(small_library):

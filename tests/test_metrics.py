@@ -7,13 +7,13 @@ import pytest
 import axmul.clustering
 from axmul.adders import AdderLibrary
 from axmul.clustering import ClusterSpec, cluster_sweep
-from axmul.fabric import MAX_WIDTH, MultiplierConfig, build_multiplier, eval_multiply
+from axmul.fabric import MAX_WIDTH, MultiplierConfig, build_multiplier
 from axmul.metrics import (MetricAccumulator,
                            accumulate_arrays, chunk_operands, combine_squares,
                            exhaustive_sweep, finalize, merge, psnr_from_mse,
                            square_partials, sweep_chunk, sweep_chunk_bounds)
 from conftest import random_adder
-from oracles import EvalOutcome, accumulate, oracle_metrics
+from oracles import EvalOutcome, accumulate, eval_multiply, oracle_metrics
 
 EXACT_LIB = AdderLibrary()
 
