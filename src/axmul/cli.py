@@ -20,18 +20,16 @@ import sys
 import traceback
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import render
+# Only `adders` at module load: each analysis command imports the numpy
+# layers in its own body, so validate, --help and usage errors never load
+# numpy (tests/test_cli.py pins this in a fresh interpreter).
 from .adders import (AdderFormatError, AdderLibrary, UnknownAdderError,
                      error_profile, load_library_file)
-from .clustering import (ClusterSpec, cluster_csv, cluster_matrix, cluster_sweep,
-                         ed_histogram, histogram_csv)
-from .designspace import (DEGREE_BITS, LIBRARY_WIDTH, SelectionPolicy,
-                          analyze_design, enumerate_library,
-                          library_metrics_table, select_per_cluster,
-                          selection_csv, selection_summary, table_csv)
-from .fabric import MultiplierConfig, build_multiplier
-from .metrics import fmt6, report_csv_header, report_csv_row
+
+if TYPE_CHECKING:
+    from .fabric import MultiplierConfig
 
 ENV_LIBRARY = "AXMUL_LIBRARY"
 DEFAULT_FORMATS = ("csv", "json", "svg")
@@ -83,6 +81,7 @@ def ordinal_list(text: str) -> set[int]:
 
 def parse_degree(text: str, width: int) -> tuple[str, int]:
     """Accept D1..D4 names or a plain integer bit count."""
+    from .designspace import DEGREE_BITS
     name = text.upper()
     if name in DEGREE_BITS:
         return name, DEGREE_BITS[name]
@@ -109,7 +108,8 @@ def _add_common(sub, with_design=False):
                      help="comma list from csv,json,svg")
     sub.add_argument("--workers", type=positive_int, default=1,
                      help="processes for table and select, one design per "
-                          "job; other commands evaluate one design in-process")
+                          "job and at most one process per design; other "
+                          "commands evaluate one design in-process")
     sub.add_argument("--architecture", choices=("row_ripple", "carry_save"),
                      default="row_ripple",
                      help="array layout (default: row_ripple, which the "
@@ -166,6 +166,7 @@ def _json_text(obj) -> str:
 
 
 def _design_config(args, library: AdderLibrary) -> tuple[str, MultiplierConfig]:
+    from .fabric import MultiplierConfig
     label, bits = parse_degree(args.degree, args.width)
     config = MultiplierConfig(args.width, args.type, bits,
                               architecture=args.architecture)
@@ -175,6 +176,7 @@ def _design_config(args, library: AdderLibrary) -> tuple[str, MultiplierConfig]:
 
 def _library_entries(args) -> tuple[AdderLibrary, list]:
     """The library file and its 20 (DesignId, config) entries; one width only."""
+    from .designspace import LIBRARY_WIDTH, enumerate_library
     if args.width != LIBRARY_WIDTH:
         raise ValueError(f"{args.command} analyzes the {LIBRARY_WIDTH}-bit design "
                          f"library; --width {args.width} is not supported")
@@ -195,6 +197,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .designspace import analyze_design
+    from .metrics import fmt6, report_csv_header, report_csv_row
     library = load_library_file(args.library or default_library_path())
     name, config = _design_config(args, library)
     report, _ = analyze_design(config, library, args.cluster_size)
@@ -212,6 +216,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from .designspace import library_metrics_table, table_csv
+    from .metrics import fmt6
     library, entries = _library_entries(args)
     if args.type:
         entries = [e for e in entries if e[0].type_knob == args.type]
@@ -240,6 +246,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_clusters(args) -> int:
+    from . import render
+    from .clustering import ClusterSpec, cluster_csv, cluster_matrix, cluster_sweep
+    from .fabric import build_multiplier
+    from .metrics import fmt6
     library = load_library_file(args.library or default_library_path())
     name, config = _design_config(args, library)
     spec = ClusterSpec(config.width, args.cluster_size)
@@ -271,6 +281,10 @@ def cmd_clusters(args) -> int:
 
 
 def cmd_histogram(args) -> int:
+    from . import render
+    from .clustering import ed_histogram, histogram_csv
+    from .fabric import build_multiplier
+    from .metrics import fmt6
     library = load_library_file(args.library or default_library_path())
     name, config = _design_config(args, library)
     grid = build_multiplier(config, library)
@@ -292,6 +306,9 @@ def cmd_histogram(args) -> int:
 
 
 def cmd_select(args) -> int:
+    from .designspace import (SelectionPolicy, library_metrics_table,
+                              select_per_cluster, selection_csv, selection_summary)
+    from .metrics import fmt6
     library, entries = _library_entries(args)
     rows = library_metrics_table(entries, library, cluster_size=args.cluster_size,
                                  workers=args.workers)

@@ -85,10 +85,12 @@ def library_metrics_table(entries: list[tuple[DesignId, MultiplierConfig]],
     """One analyzed row per `enumerate_library` entry, in the entries' order.
 
     Rows are independent jobs; with workers > 1 they run in a process
-    pool and are still collected in order, so the result is identical
-    for any worker count.
+    pool of at most one process per entry (a forking pool starts all of
+    its processes at the first job) and are still collected in order, so
+    the result is identical for any worker count.
     """
     jobs = ([cfg for _, cfg in entries], repeat(library), repeat(cluster_size))
+    workers = min(workers, len(entries))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:

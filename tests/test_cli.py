@@ -1,7 +1,9 @@
 import hashlib
 import importlib.util
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -85,6 +87,29 @@ def test_validate_env_default(zero_lib_file, monkeypatch, capsys):
     monkeypatch.setenv("AXMUL_LIBRARY", zero_lib_file)
     assert main(["validate"]) == 0
     assert "ZERO: 8 erroneous rows" in capsys.readouterr().out
+
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+# the benchmark's launch form, reporting whether the command loaded numpy
+LAUNCH = ("import sys; from axmul.cli import main; code = main(sys.argv[1:]); "
+          "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)")
+
+
+@pytest.mark.parametrize("args, code", [
+    (["validate", "LIB"], 0),
+    (["--help"], 0),
+    (["sweep", "--workers", "0"], 1),
+], ids=["validate", "help", "usage-error"])
+def test_validate_help_and_usage_errors_do_not_load_numpy(zero_lib_file, args, code):
+    args = [zero_lib_file if a == "LIB" else a for a in args]
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    run = subprocess.run([sys.executable, "-c", LAUNCH, *args], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == code
+    assert run.stderr.splitlines()[-1] == "False"
+    if args[0] == "validate":
+        assert run.stdout == ("ZERO: 8 erroneous rows (sum rows [1, 2, 4, 7], "
+                              "cout rows [3, 5, 6, 7])\nexact: 0 erroneous rows\n")
 
 
 def test_usage_errors():

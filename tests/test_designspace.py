@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import random
 
@@ -227,6 +228,40 @@ def test_table_rows_deterministic_and_ordered():
     assert all(r.report.ned_clustered_avg is not None for r in rows1)
     for row in rows1:
         assert row.config.degree == DEGREE_BITS[row.design.degree_knob]
+
+
+def test_table_pool_has_at_most_one_process_per_design(monkeypatch):
+    pools = []
+
+    class InProcessPool:
+        """Records the pool size and maps in-process, so no process starts."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    lib = fake_ama_library()
+    entries = enumerate_library(lib)[:3]
+    serial = library_metrics_table(entries, lib, workers=1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+
+    pooled = library_metrics_table(entries, lib, workers=10**6)
+    assert pools == [3]
+    assert table_csv(pooled) == table_csv(serial)
+    assert [r.clusters.cells.tobytes() for r in pooled] == \
+        [r.clusters.cells.tobytes() for r in serial]
+
+    single = library_metrics_table(entries[:1], lib, workers=2)
+    assert pools == [3]   # one design runs in-process
+    assert table_csv(single) == table_csv(serial[:1])
 
 
 @pytest.mark.parametrize("cluster_size", [2, 16, 64])
