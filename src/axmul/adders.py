@@ -19,7 +19,7 @@ EXACT_COUT_BITS = "00010111"
 
 
 class AdderFormatError(ValueError):
-    """A library document (or one of its entries) is malformed."""
+    """A library file cannot be read, or its document (or an entry) is malformed."""
 
 
 class UnknownAdderError(KeyError):
@@ -172,8 +172,13 @@ def load_library(document: str) -> AdderLibrary:
 
 
 def load_library_file(path) -> AdderLibrary:
-    with open(path, encoding="utf-8") as fh:
-        return load_library(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            document = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise AdderFormatError(f"cannot read library file {path}: {reason}") from None
+    return load_library(document)
 
 
 def dump_library(library: AdderLibrary) -> str:

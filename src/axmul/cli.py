@@ -3,8 +3,9 @@
 Subcommands: validate, sweep, table, clusters, histogram, select.
 Exit codes: 0 success, 1 usage error, 2 input-format error, 3 internal error.
 
-The adder library file is taken from --library, else the AXMUL_LIBRARY
-environment variable, else the packaged default.
+The parser is the one home of every analysis default; the library modules
+take each setting as an argument.  The adder library file is --library, else
+the packaged one.
 
 The Python API is the submodules (axmul.adders, axmul.fabric, axmul.metrics,
 axmul.clustering, axmul.designspace, axmul.render); the package itself
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import traceback
 from importlib import resources
@@ -31,7 +31,6 @@ from .adders import (AdderFormatError, AdderLibrary, UnknownAdderError,
 if TYPE_CHECKING:
     from .fabric import MultiplierConfig
 
-ENV_LIBRARY = "AXMUL_LIBRARY"
 DEFAULT_FORMATS = ("csv", "json", "svg")
 
 
@@ -43,9 +42,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def default_library_path() -> str:
-    env = os.environ.get(ENV_LIBRARY)
-    if env:
-        return env
     return str(resources.files("axmul").joinpath("data/ama_adders.json"))
 
 
@@ -97,19 +93,18 @@ def parse_degree(text: str, width: int) -> tuple[str, int]:
     return f"d{bits}", bits
 
 
-def _add_common(sub, with_design=False):
-    sub.add_argument("--library", default=None, help="adder library JSON file")
+def _add_common(sub, with_design=False, with_thresholds=False):
+    sub.add_argument("--library", default=default_library_path(),
+                     help="adder library JSON file (default: the packaged one)")
     sub.add_argument("--width", type=int, default=8)
     sub.add_argument("--cluster-size", type=int, default=16)
-    sub.add_argument("--ned-threshold", type=nonnegative_float, default=1.0)
-    sub.add_argument("--psnr-threshold", type=nonnegative_float, default=25.0)
     sub.add_argument("--out", type=Path, default=Path("."), help="output directory")
     sub.add_argument("--format", type=format_list, default=DEFAULT_FORMATS,
                      help="comma list from csv,json,svg")
     sub.add_argument("--workers", type=positive_int, default=1,
                      help="processes for table and select, one design per "
-                          "job and at most one process per design; other "
-                          "commands evaluate one design in-process")
+                          "job and at most one per design; sweep, clusters "
+                          "and histogram run in-process whatever the value")
     sub.add_argument("--architecture", choices=("row_ripple", "carry_save"),
                      default="row_ripple",
                      help="array layout (default: row_ripple, which the "
@@ -117,6 +112,9 @@ def _add_common(sub, with_design=False):
     if with_design:
         sub.add_argument("--type", required=True, help="adder type name")
         sub.add_argument("--degree", required=True, help="D1..D4 or bit count")
+    if with_thresholds:   # only the commands that judge blocks read them
+        sub.add_argument("--ned-threshold", type=nonnegative_float, default=1.0)
+        sub.add_argument("--psnr-threshold", type=nonnegative_float, default=25.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = p.add_subparsers(dest="command", required=True)
 
     v = subs.add_parser("validate", help="check an adder library file")
-    v.add_argument("library_path", nargs="?", default=None)
+    v.add_argument("library_path", nargs="?", default=default_library_path())
     v.set_defaults(func=cmd_validate)
 
     s = subs.add_parser("sweep", help="exhaustive sweep of one design")
@@ -141,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_table)
 
     c = subs.add_parser("clusters", help="per-cluster NED/PSNR analysis of one design")
-    _add_common(c, with_design=True)
+    _add_common(c, with_design=True, with_thresholds=True)
     c.set_defaults(func=cmd_clusters)
 
     h = subs.add_parser("histogram", help="error-distance histogram of one design")
@@ -150,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     h.set_defaults(func=cmd_histogram)
 
     e = subs.add_parser("select", help="quality-constrained design per cluster")
-    _add_common(e)
+    _add_common(e, with_thresholds=True)
     e.add_argument("--metric", choices=("ned", "psnr"), default="ned")
     e.set_defaults(func=cmd_select)
     return p
@@ -168,8 +166,7 @@ def _json_text(obj) -> str:
 def _design_config(args, library: AdderLibrary) -> tuple[str, MultiplierConfig]:
     from .fabric import MultiplierConfig
     label, bits = parse_degree(args.degree, args.width)
-    config = MultiplierConfig(args.width, args.type, bits,
-                              architecture=args.architecture)
+    config = MultiplierConfig(args.width, args.type, bits, args.architecture)
     library.get(args.type)   # fail early with a resolution error
     return f"{args.type}_{label}", config
 
@@ -180,12 +177,12 @@ def _library_entries(args) -> tuple[AdderLibrary, list]:
     if args.width != LIBRARY_WIDTH:
         raise ValueError(f"{args.command} analyzes the {LIBRARY_WIDTH}-bit design "
                          f"library; --width {args.width} is not supported")
-    library = load_library_file(args.library or default_library_path())
+    library = load_library_file(args.library)
     return library, enumerate_library(library, architecture=args.architecture)
 
 
 def cmd_validate(args) -> int:
-    library = load_library_file(args.library_path or default_library_path())
+    library = load_library_file(args.library_path)
     for spec in library:
         profile = error_profile(spec)
         detail = ""
@@ -199,7 +196,7 @@ def cmd_validate(args) -> int:
 def cmd_sweep(args) -> int:
     from .designspace import analyze_design
     from .metrics import fmt6, report_csv_header, report_csv_row
-    library = load_library_file(args.library or default_library_path())
+    library = load_library_file(args.library)
     name, config = _design_config(args, library)
     report, _ = analyze_design(config, library, args.cluster_size)
 
@@ -227,8 +224,7 @@ def cmd_table(args) -> int:
         entries = [e for e in entries if e[0].ordinal in args.ordinals]
     if not entries:
         raise ValueError("design filter matched no rows")
-    rows = library_metrics_table(entries, library, cluster_size=args.cluster_size,
-                                 workers=args.workers)
+    rows = library_metrics_table(entries, library, args.cluster_size, args.workers)
 
     if "csv" in args.format:
         _write(args.out, "library_table.csv", table_csv(rows))
@@ -250,7 +246,7 @@ def cmd_clusters(args) -> int:
     from .clustering import ClusterSpec, cluster_csv, cluster_matrix, cluster_sweep
     from .fabric import build_multiplier
     from .metrics import fmt6
-    library = load_library_file(args.library or default_library_path())
+    library = load_library_file(args.library)
     name, config = _design_config(args, library)
     spec = ClusterSpec(config.width, args.cluster_size)
     report = cluster_sweep(build_multiplier(config, library), spec=spec)
@@ -285,7 +281,7 @@ def cmd_histogram(args) -> int:
     from .clustering import ed_histogram, histogram_csv
     from .fabric import build_multiplier
     from .metrics import fmt6
-    library = load_library_file(args.library or default_library_path())
+    library = load_library_file(args.library)
     name, config = _design_config(args, library)
     grid = build_multiplier(config, library)
     hist = ed_histogram(grid, bin_width=args.bin_width)
@@ -310,8 +306,7 @@ def cmd_select(args) -> int:
                               select_per_cluster, selection_csv, selection_summary)
     from .metrics import fmt6
     library, entries = _library_entries(args)
-    rows = library_metrics_table(entries, library, cluster_size=args.cluster_size,
-                                 workers=args.workers)
+    rows = library_metrics_table(entries, library, args.cluster_size, args.workers)
     policy = SelectionPolicy(args.metric,
                              args.ned_threshold if args.metric == "ned"
                              else args.psnr_threshold)
@@ -338,9 +333,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    out = getattr(args, "out", None)   # refused before any work if it cannot be a directory
+    nearest = out and next(p for p in (out, *out.parents) if p.exists())
+    if nearest and not nearest.is_dir():
+        print(f"axmul: --out {out}: {nearest} is not a directory", file=sys.stderr)
+        return 1
     try:
         return args.func(args)
-    except (AdderFormatError, FileNotFoundError) as exc:
+    except AdderFormatError as exc:
         print(f"axmul: {exc}", file=sys.stderr)
         return 2
     except (UnknownAdderError, ValueError, KeyError) as exc:

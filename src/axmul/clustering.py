@@ -28,7 +28,7 @@ MAX_BINS = 1 << 16     # every bin width fits at width 8, where ED < 2^16
 @dataclass(frozen=True)
 class ClusterSpec:
     width: int
-    cluster_size: int = 16
+    cluster_size: int
 
     def __post_init__(self):
         side = 1 << self.width
@@ -114,7 +114,7 @@ def chunk_errors(grid: CellGrid, lo: int, hi: int) -> tuple[np.ndarray, np.ndarr
     return exact, ed
 
 
-def cluster_sweep(grid: CellGrid, spec: ClusterSpec | None = None) -> ClusterReport:
+def cluster_sweep(grid: CellGrid, spec: ClusterSpec) -> ClusterReport:
     """Aggregate every s*s operand block, and the whole domain, in one sweep.
 
     Each first-operand chunk is evaluated once and its ED array formed
@@ -125,9 +125,7 @@ def cluster_sweep(grid: CellGrid, spec: ClusterSpec | None = None) -> ClusterRep
     `totals` equals `exhaustive_sweep`).  `finish_blocks` turns the
     per-block sums into the report's columns.
     """
-    if spec is None:
-        spec = ClusterSpec(grid.width)
-    elif spec.width != grid.width:
+    if spec.width != grid.width:
         raise ValueError("cluster spec width does not match grid width")
     bounds = sweep_chunk_bounds(grid.width)
 

@@ -40,14 +40,9 @@ def design_id(type_knob: str, degree_knob: str) -> DesignId:
     return DesignId(type_knob, degree_knob, 4 * ti + di + 1, DEGREE_BITS[degree_knob])
 
 
-def enumerate_library(library: AdderLibrary, architecture: str = "row_ripple",
-                      ) -> list[tuple[DesignId, MultiplierConfig]]:
-    """All 20 (DesignId, config) pairs at width 8, in ordinal order.
-
-    The published accuracy figures for this library correspond to the
-    row-ripple array with plain half adders at its two-input positions,
-    so that is the default build here.
-    """
+def enumerate_library(library: AdderLibrary,
+                      architecture: str) -> list[tuple[DesignId, MultiplierConfig]]:
+    """All 20 (DesignId, config) pairs at width 8 on one layout, in ordinal order."""
     missing = [t for t in AMA_TYPES if t not in library]
     if missing:
         raise KeyError(f"library is missing adder types: {', '.join(missing)}")
@@ -69,7 +64,7 @@ class TableRow:
 
 
 def analyze_design(config: MultiplierConfig, library: AdderLibrary,
-                   cluster_size: int = 16) -> tuple[MetricReport, ClusterReport]:
+                   cluster_size: int) -> tuple[MetricReport, ClusterReport]:
     """One cluster sweep; its totals finalized, cluster averages attached."""
     spec = ClusterSpec(config.width, cluster_size)   # refuses oversized grids
     clusters = cluster_sweep(build_multiplier(config, library), spec=spec)
@@ -80,8 +75,8 @@ def analyze_design(config: MultiplierConfig, library: AdderLibrary,
 
 
 def library_metrics_table(entries: list[tuple[DesignId, MultiplierConfig]],
-                          library: AdderLibrary, cluster_size: int = 16,
-                          workers: int = 1) -> list[TableRow]:
+                          library: AdderLibrary, cluster_size: int,
+                          workers: int) -> list[TableRow]:
     """One analyzed row per `enumerate_library` entry, in the entries' order.
 
     Rows are independent jobs; with workers > 1 they run in a process

@@ -2,10 +2,10 @@
 
 Two textbook unsigned array architectures are supported:
 
-* "carry_save" (the default contract): n-1 carry-save rows over the
-  partial products, each cell's carry dropping diagonally to the next
-  row, then a final ripple merge over the upper result weights; the
-  carry out of the top weight is discarded.
+* "carry_save": n-1 carry-save rows over the partial products, each
+  cell's carry dropping diagonally to the next row, then a final ripple
+  merge over the upper result weights; the carry out of the top weight
+  is discarded.
 * "row_ripple": every row is a full carry-propagate adder whose carries
   ripple within the row; the row's carry-out becomes the accumulator's
   new top bit, so nothing is discarded.  This is the layout with
@@ -53,10 +53,10 @@ ARCHITECTURES = ("carry_save", "row_ripple")
 class MultiplierConfig:
     """Width, adder type, approximation degree and array layout."""
 
-    width: int = 8
-    adder_type: str = "exact"
-    degree: int = 0
-    architecture: str = "carry_save"
+    width: int
+    adder_type: str
+    degree: int
+    architecture: str
 
     def __post_init__(self):
         if not MIN_WIDTH <= self.width <= MAX_WIDTH:

@@ -51,7 +51,8 @@ def shipped_library():
 @pytest.fixture(scope="module")
 def shipped_table(shipped_library):
     start = time.monotonic()
-    rows = library_metrics_table(enumerate_library(shipped_library), shipped_library)
+    rows = library_metrics_table(enumerate_library(shipped_library, "row_ripple"),
+                                 shipped_library, 16, 1)
     elapsed = time.monotonic() - start
     assert elapsed < 120.0, f"20 exhaustive sweeps took {elapsed:.1f}s (limit 120s)"
     comparison = compare_to_published(rows)
@@ -153,7 +154,7 @@ def test_criterion_4_invariant_suite():
 
     lib = AdderLibrary([random_adder("R1", rng), random_adder("R2", rng)])
     for name, degree in (("R1", 5), ("R2", 8), ("R1", 2)):
-        grid = build_multiplier(MultiplierConfig(4, name, degree), lib)
+        grid = build_multiplier(MultiplierConfig(4, name, degree, "carry_save"), lib)
         acc = exhaustive_sweep(grid)
         rep = finalize(acc, 225)
         if rep.mse < rep.med ** 2 - 1e-9:
@@ -254,7 +255,7 @@ def test_criterion_7_quoted_spot_checks(shipped_library):
             > 0.05 * SPOT_CHECKS["design1_mean_ed"]:
         failures.append(f"Design1 mean ED {hist.mean_ed:.1f} (want ~102)")
 
-    cl_d1 = cluster_sweep(grid_d1)
+    cl_d1 = cluster_sweep(grid_d1, ClusterSpec(8, 16))
     n_psnr = cl_d1.count_psnr_under(25.0)
     if abs(n_psnr - SPOT_CHECKS["ama1_d1_psnr_under_25db"]) > 3:
         failures.append(f"AMA1/D1 psnr<25dB count {n_psnr} (want ~19)")
@@ -263,7 +264,7 @@ def test_criterion_7_quoted_spot_checks(shipped_library):
     grid_d4 = build_multiplier(
         MultiplierConfig(8, "AMA1", d4.degree_bits, architecture="row_ripple"),
         shipped_library)
-    cl_d4 = cluster_sweep(grid_d4)
+    cl_d4 = cluster_sweep(grid_d4, ClusterSpec(8, 16))
     n_ned = cl_d4.count_ned_over(1.0)
     if abs(n_ned - SPOT_CHECKS["ama1_d4_ned_over_100pct"]) > 4:
         failures.append(f"AMA1/D4 ned>100% count {n_ned} (want ~79)")
@@ -274,7 +275,7 @@ def test_criterion_7_quoted_spot_checks(shipped_library):
     grid_a5 = build_multiplier(
         MultiplierConfig(8, "AMA5", 16, architecture="row_ripple"),
         shipped_library)
-    n_a5 = cluster_sweep(grid_a5).count_psnr_under(25.0)
+    n_a5 = cluster_sweep(grid_a5, ClusterSpec(8, 16)).count_psnr_under(25.0)
     if abs(n_a5 - SPOT_CHECKS["ama5_d4_psnr_under_25db"]) > 4:
         failures.append(f"AMA5/D4 psnr<25dB count {n_a5} (want ~239)")
 

@@ -83,10 +83,24 @@ def test_validate_missing_file(tmp_path):
     assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
 
-def test_validate_env_default(zero_lib_file, monkeypatch, capsys):
+def test_validate_default_is_the_packaged_library(zero_lib_file, monkeypatch, capsys):
+    # an inherited environment variable chooses no library
     monkeypatch.setenv("AXMUL_LIBRARY", zero_lib_file)
     assert main(["validate"]) == 0
-    assert "ZERO: 8 erroneous rows" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "exact", *AMA_TYPES]
+
+
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+def test_library_that_cannot_be_read_is_input_error(tmp_path, capsys, command):
+    args = ([command, str(tmp_path)] if command == "validate" else
+            [command, "--library", str(tmp_path), "--type", "exact", "--degree", "0",
+             "--out", str(tmp_path / "out")])
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == f"axmul: cannot read library file {tmp_path}: Is a directory\n"
+    assert not (tmp_path / "out").exists()
 
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -99,7 +113,8 @@ LAUNCH = ("import sys; from axmul.cli import main; code = main(sys.argv[1:]); "
     (["validate", "LIB"], 0),
     (["--help"], 0),
     (["sweep", "--workers", "0"], 1),
-], ids=["validate", "help", "usage-error"])
+    (["sweep", "--type", "exact", "--degree", "0", "--out", "LIB"], 1),
+], ids=["validate", "help", "usage-error", "out-is-a-file"])
 def test_validate_help_and_usage_errors_do_not_load_numpy(zero_lib_file, args, code):
     args = [zero_lib_file if a == "LIB" else a for a in args]
     env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
@@ -324,17 +339,24 @@ def test_select_threshold_extremes(fake_ama_file, tmp_path):
 
 
 BAD_INPUTS = {
-    "ned-threshold": (["--ned-threshold", "-1"], 1),
-    "psnr-threshold": (["--psnr-threshold", "-1"], 1),
     "workers": (["--workers", "0"], 1),
     "format": (["--format", "csv,xml"], 1),
     "missing-library": (["--library", "missing.json"], 2),
     "malformed-library": (["--library", "malformed.json"], 2),
+    # an output path under which no directory can be made
+    "out-is-a-file": (["--out", "file.txt"], 1),
+    "out-under-a-file": (["--out", "file.txt/out"], 1),
 }
 BAD_INPUT_CASES = {
     **{f"{name}-{command}": (command, bad, code)
        for name, (bad, code) in BAD_INPUTS.items()
        for command in ("sweep", "clusters", "select")},
+    # the thresholds are refused below zero where they are read, and at all
+    # on the commands that read none
+    **{f"{flag}-{command}": (command, [f"--{flag}", "-1" if reads else "1"], 1)
+       for flag in ("ned-threshold", "psnr-threshold")
+       for command, reads in (("clusters", True), ("select", True), ("sweep", False),
+                              ("table", False), ("histogram", False))},
     # the design library exists at width 8 only
     "width-table": ("table", ["--width", "10", "--ordinals", "1"], 1),
     "width-select": ("select", ["--width", "4", "--cluster-size", "64"], 1),
@@ -352,15 +374,18 @@ def test_bad_input_exit_codes(fake_ama_file, tmp_path, command, bad, code,
                               eval_pair_counts):
     (tmp_path / "malformed.json").write_text(json.dumps([
         {"name": "SHORT", "sum_bits": "0110100", "cout_bits": "00010111"}]))
+    (tmp_path / "file.txt").write_text("")
     design = (["--type", "AMA1", "--degree", "D1"]
               if command in ("sweep", "clusters", "histogram") else [])
-    bad = [str(tmp_path / a) if a.endswith(".json") else a for a in bad]
+    bad = [str(tmp_path / a) if a.endswith(".json") or a.startswith("file.txt") else a
+           for a in bad]
     out = tmp_path / "out"
-    # a later --library overrides the good one
-    assert main([command, *design, "--library", fake_ama_file, *bad,
-                 "--out", str(out)]) == code
+    # a later --library or --out overrides the good one
+    assert main([command, *design, "--library", fake_ama_file, "--out", str(out),
+                 *bad]) == code
     assert eval_pair_counts == []
     assert not out.exists()
+    assert (tmp_path / "file.txt").read_text() == ""
 
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"

@@ -33,8 +33,8 @@ def test_cluster_spec_caps_the_block_grid():
 
 
 def test_exact_grid_all_zero():
-    grid = build_multiplier(MultiplierConfig(8, "exact", 0), EXACT_LIB)
-    report = cluster_sweep(grid)
+    grid = build_multiplier(MultiplierConfig(8, "exact", 0, "carry_save"), EXACT_LIB)
+    report = cluster_sweep(grid, ClusterSpec(8, 16))
     assert len(report.cells) == 256
     assert np.all(report.cells["ned"] == 0.0)
     assert np.all(report.cells["psnr"] == math.inf)
@@ -44,8 +44,8 @@ def test_exact_grid_all_zero():
 
 
 def test_cluster_pmax_corners():
-    grid = build_multiplier(MultiplierConfig(8, "exact", 0), EXACT_LIB)
-    pmax = cluster_sweep(grid).cells["pmax_cluster"].reshape(16, 16)
+    grid = build_multiplier(MultiplierConfig(8, "exact", 0, "carry_save"), EXACT_LIB)
+    pmax = cluster_sweep(grid, ClusterSpec(8, 16)).cells["pmax_cluster"].reshape(16, 16)
     assert pmax[0, 0] == 225
     assert pmax[15, 15] == 65025
     assert pmax[2, 5] == (2 * 16 + 15) * (5 * 16 + 15)
@@ -53,7 +53,7 @@ def test_cluster_pmax_corners():
 
 def test_cluster_cells_match_oracle_n4(small_library):
     for name in ("ZERO", "RND1", "RND2"):
-        grid = build_multiplier(MultiplierConfig(4, name, 8), small_library)
+        grid = build_multiplier(MultiplierConfig(4, name, 8, "carry_save"), small_library)
         report = cluster_sweep(grid, spec=ClusterSpec(4, 4))
         want = oracle_clusters(grid, 4)
         assert len(report.cells) == 16
@@ -70,7 +70,7 @@ def test_cluster_cells_match_oracle_n4(small_library):
 
 
 def test_mass_conservation_against_global(small_library):
-    grid = build_multiplier(MultiplierConfig(4, "RND1", 7), small_library)
+    grid = build_multiplier(MultiplierConfig(4, "RND1", 7, "carry_save"), small_library)
     acc = exhaustive_sweep(grid)
     report = cluster_sweep(grid, spec=ClusterSpec(4, 4))
     cells = report.cells
@@ -84,14 +84,14 @@ def test_mass_conservation_against_global(small_library):
 
 
 def test_report_extremes_order(small_library):
-    grid = build_multiplier(MultiplierConfig(4, "RND2", 6), small_library)
+    grid = build_multiplier(MultiplierConfig(4, "RND2", 6, "carry_save"), small_library)
     report = cluster_sweep(grid, spec=ClusterSpec(4, 4))
     assert report.ned_max >= report.ned_avg
     assert report.psnr_min <= report.psnr_avg
 
 
 def test_threshold_monotonicity(small_library):
-    grid = build_multiplier(MultiplierConfig(4, "RND1", 8), small_library)
+    grid = build_multiplier(MultiplierConfig(4, "RND1", 8, "carry_save"), small_library)
     report = cluster_sweep(grid, spec=ClusterSpec(4, 4))
     neds = [report.count_ned_over(t) for t in (0.0, 0.1, 0.5, 1.0, 10.0)]
     assert neds == sorted(neds, reverse=True)
@@ -100,7 +100,7 @@ def test_threshold_monotonicity(small_library):
 
 
 def test_cluster_width_mismatch(small_library):
-    grid = build_multiplier(MultiplierConfig(4, "ZERO", 8), small_library)
+    grid = build_multiplier(MultiplierConfig(4, "ZERO", 8, "carry_save"), small_library)
     with pytest.raises(ValueError):
         cluster_sweep(grid, spec=ClusterSpec(8, 16))
 
@@ -127,7 +127,7 @@ def test_finish_blocks_keeps_squared_sums_past_int64_exact():
 
 
 def test_histogram_exact_single_bin():
-    grid = build_multiplier(MultiplierConfig(4, "exact", 0), EXACT_LIB)
+    grid = build_multiplier(MultiplierConfig(4, "exact", 0, "carry_save"), EXACT_LIB)
     hist = ed_histogram(grid)
     assert hist.total_count == 256
     assert hist.bins == ((0, 256),)
@@ -136,7 +136,7 @@ def test_histogram_exact_single_bin():
 
 
 def test_histogram_matches_oracle(small_library):
-    grid = build_multiplier(MultiplierConfig(4, "RND1", 8), small_library)
+    grid = build_multiplier(MultiplierConfig(4, "RND1", 8, "carry_save"), small_library)
     for bw in (1, 3, 16):
         hist = ed_histogram(grid, bin_width=bw)
         want = oracle_histogram(grid, bw)
@@ -149,7 +149,7 @@ def test_histogram_matches_oracle(small_library):
 
 
 def test_histogram_default_bin_width(small_library):
-    grid = build_multiplier(MultiplierConfig(4, "ZERO", 8), small_library)
+    grid = build_multiplier(MultiplierConfig(4, "ZERO", 8, "carry_save"), small_library)
     hist = ed_histogram(grid)
     assert hist.bin_width == max(1, math.ceil(hist.max_ed / 64))
     with pytest.raises(ValueError):
@@ -157,7 +157,7 @@ def test_histogram_default_bin_width(small_library):
 
 
 def test_cluster_csv_round_trip(small_library):
-    grid = build_multiplier(MultiplierConfig(4, "RND2", 8), small_library)
+    grid = build_multiplier(MultiplierConfig(4, "RND2", 8, "carry_save"), small_library)
     report = cluster_sweep(grid, spec=ClusterSpec(4, 4))
     lines = cluster_csv(report).strip().split("\n")
     assert lines[0] == "ia,ib,mean_ed,pmax_cluster,ned,mse,psnr"
@@ -173,7 +173,7 @@ def test_cluster_csv_round_trip(small_library):
 
 
 def test_cluster_matrix_shape(small_library):
-    grid = build_multiplier(MultiplierConfig(4, "RND1", 4), small_library)
+    grid = build_multiplier(MultiplierConfig(4, "RND1", 4, "carry_save"), small_library)
     report = cluster_sweep(grid, spec=ClusterSpec(4, 4))
     rows = cluster_matrix(report).strip().split("\n")
     assert len(rows) == 4
@@ -183,7 +183,7 @@ def test_cluster_matrix_shape(small_library):
 
 
 def test_histogram_csv_round_trip(small_library):
-    grid = build_multiplier(MultiplierConfig(4, "ZERO", 8), small_library)
+    grid = build_multiplier(MultiplierConfig(4, "ZERO", 8, "carry_save"), small_library)
     hist = ed_histogram(grid, bin_width=2)
     lines = histogram_csv(hist).strip().split("\n")
     assert lines[0] == "lower_edge,count"

@@ -1,4 +1,6 @@
 import concurrent.futures
+import inspect
+import json
 import math
 import random
 
@@ -6,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from axmul.adders import AdderLibrary
+from axmul.adders import AdderLibrary, load_library_file
+from axmul.cli import default_library_path, main
 from axmul.clustering import ClusterReport, ClusterSpec, cluster_sweep
 from axmul.designspace import (AMA_TYPES, DEGREE_BITS, DesignId,
                                SelectionPolicy, analyze_design, design_id,
@@ -34,7 +37,7 @@ def test_design_numbering():
 
 
 def test_enumerate_complete_library():
-    entries = enumerate_library(fake_ama_library())
+    entries = enumerate_library(fake_ama_library(), "row_ripple")
     assert len(entries) == 20
     did, cfg = entries[0]
     assert (did.label, did.type_knob, cfg.degree) == ("Design1", "AMA1", 7)
@@ -46,13 +49,32 @@ def test_enumerate_complete_library():
     assert degrees == [7, 8, 9, 16]
 
 
-def test_enumerate_defaults_to_calibrated_build():
-    entries = enumerate_library(fake_ama_library())
-    assert all(cfg.architecture == "row_ripple" for _, cfg in entries)
-    assert all(cfg.half_adders == "exact" for _, cfg in entries)
-    normative = enumerate_library(fake_ama_library(), architecture="carry_save")
-    assert all(cfg.architecture == "carry_save" for _, cfg in normative)
-    assert all(cfg.half_adders == "approximate" for _, cfg in normative)
+def test_enumerate_builds_the_given_layout():
+    for architecture, half_adders in (("row_ripple", "exact"),
+                                      ("carry_save", "approximate")):
+        entries = enumerate_library(fake_ama_library(), architecture)
+        assert all(cfg.architecture == architecture for _, cfg in entries)
+        assert all(cfg.half_adders == half_adders for _, cfg in entries)
+
+
+@pytest.mark.parametrize("api", [MultiplierConfig, ClusterSpec, cluster_sweep,
+                                 analyze_design, library_metrics_table,
+                                 enumerate_library])
+def test_library_api_takes_every_setting(api):
+    """The CLI parser is the one home of the analysis defaults."""
+    params = inspect.signature(api).parameters.values()
+    assert [p.name for p in params if p.default is not p.empty] == []
+
+
+def test_cli_defaults_build_the_calibrated_design(tmp_path):
+    with pytest.raises(TypeError):
+        MultiplierConfig(8, "AMA1", 7)
+    lib = load_library_file(default_library_path())
+    report, _ = analyze_design(MultiplierConfig(8, "AMA1", 7, "row_ripple"), lib, 16)
+    assert main(["sweep", "--type", "AMA1", "--degree", "D1", "--format", "json",
+                 "--out", str(tmp_path)]) == 0
+    swept = json.loads((tmp_path / "sweep_AMA1_D1.json").read_text())
+    assert swept == report.to_dict()
 
 
 def test_enumerate_missing_type():
@@ -60,7 +82,7 @@ def test_enumerate_missing_type():
     lib = AdderLibrary([random_adder(t, rng)
                         for t in AMA_TYPES if t != "AMA3"])
     with pytest.raises(KeyError, match="AMA3"):
-        enumerate_library(lib)
+        enumerate_library(lib, "row_ripple")
 
 
 def synth_report(neds, psnrs=None, spec=ClusterSpec(2, 2)):
@@ -141,7 +163,7 @@ def test_select_monotone_rescale_invariance():
 def test_select_mismatched_specs_rejected():
     lo, hi = toy_designs()
     small = synth_report([0.0] * 4)
-    big = cluster_sweep(build_multiplier(MultiplierConfig(4, "exact", 0),
+    big = cluster_sweep(build_multiplier(MultiplierConfig(4, "exact", 0, "carry_save"),
                                          AdderLibrary()),
                         spec=ClusterSpec(4, 4))
     with pytest.raises(ValueError):
@@ -158,7 +180,7 @@ def test_select_matches_argmax_oracle_4bit():
     for ordinal, (name, bits) in enumerate(
             [("T1", 2), ("T1", 6), ("T2", 2), ("T2", 6)], start=1):
         did = DesignId(name, f"deg{bits}", ordinal, degree_bits=bits)
-        grid = build_multiplier(MultiplierConfig(4, name, bits), lib)
+        grid = build_multiplier(MultiplierConfig(4, name, bits, "carry_save"), lib)
         designs.append((did, cluster_sweep(grid, spec=ClusterSpec(4, 4))))
     threshold = 0.05
     sel = select_per_cluster(designs, SelectionPolicy("ned", threshold))
@@ -221,8 +243,8 @@ def test_policy_validation():
 
 def test_table_rows_deterministic_and_ordered():
     lib = fake_ama_library()
-    rows1 = library_metrics_table(enumerate_library(lib), lib)
-    rows2 = library_metrics_table(enumerate_library(lib), lib)
+    rows1 = library_metrics_table(enumerate_library(lib, "row_ripple"), lib, 16, 1)
+    rows2 = library_metrics_table(enumerate_library(lib, "row_ripple"), lib, 16, 1)
     assert [r.design.ordinal for r in rows1] == list(range(1, 21))
     assert table_csv(rows1) == table_csv(rows2)
     assert all(r.report.ned_clustered_avg is not None for r in rows1)
@@ -249,24 +271,24 @@ def test_table_pool_has_at_most_one_process_per_design(monkeypatch):
             return map(fn, *iterables)
 
     lib = fake_ama_library()
-    entries = enumerate_library(lib)[:3]
-    serial = library_metrics_table(entries, lib, workers=1)
+    entries = enumerate_library(lib, "row_ripple")[:3]
+    serial = library_metrics_table(entries, lib, 16, workers=1)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
 
-    pooled = library_metrics_table(entries, lib, workers=10**6)
+    pooled = library_metrics_table(entries, lib, 16, workers=10**6)
     assert pools == [3]
     assert table_csv(pooled) == table_csv(serial)
     assert [r.clusters.cells.tobytes() for r in pooled] == \
         [r.clusters.cells.tobytes() for r in serial]
 
-    single = library_metrics_table(entries[:1], lib, workers=2)
+    single = library_metrics_table(entries[:1], lib, 16, workers=2)
     assert pools == [3]   # one design runs in-process
     assert table_csv(single) == table_csv(serial[:1])
 
 
 @pytest.mark.parametrize("cluster_size", [2, 16, 64])
 def test_analyze_design_evaluates_each_pair_once(cluster_size, eval_pair_counts):
-    config = MultiplierConfig(8, "AMA1", 9)
+    config = MultiplierConfig(8, "AMA1", 9, "carry_save")
     report, clusters = analyze_design(config, fake_ama_library(), cluster_size)
     assert sum(eval_pair_counts) == 4 ** 8
     assert max(eval_pair_counts) <= 4 ** 8 // 16

@@ -16,41 +16,43 @@ from oracles import eval_multiply, oracle_blocks
 EXACT_LIB = AdderLibrary()
 
 
-def build(width, adder_type, degree, library=EXACT_LIB, **kw):
-    return build_multiplier(MultiplierConfig(width, adder_type, degree, **kw),
+def build(width, adder_type, degree, architecture, library=EXACT_LIB):
+    return build_multiplier(MultiplierConfig(width, adder_type, degree, architecture),
                             library)
 
 
-def test_carry_save_is_default_architecture():
-    cfg = MultiplierConfig(4, "exact", 0)
+def test_config_requires_every_field():
+    with pytest.raises(TypeError):
+        MultiplierConfig(4, "exact", 0)
+    cfg = MultiplierConfig(4, "exact", 0, "carry_save")
     assert cfg.architecture == "carry_save"
     assert cfg.half_adders == "approximate"
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        MultiplierConfig(1, "exact", 0)
+        MultiplierConfig(1, "exact", 0, "carry_save")
     with pytest.raises(ValueError, match="widths up to 12"):
-        MultiplierConfig(13, "exact", 0)
+        MultiplierConfig(13, "exact", 0, "carry_save")
     with pytest.raises(ValueError):
-        MultiplierConfig(8, "exact", 17)
+        MultiplierConfig(8, "exact", 17, "carry_save")
     with pytest.raises(ValueError):
-        MultiplierConfig(8, "exact", -1)
+        MultiplierConfig(8, "exact", -1, "carry_save")
 
 
 def test_unknown_adder_type():
     with pytest.raises(UnknownAdderError):
-        build(8, "MISSING", 4)
+        build(8, "MISSING", 4, "carry_save")
 
 
 def test_cell_count_formula():
     for n in (2, 3, 4, 8, 12):
-        grid = build(n, "exact", 0)
+        grid = build(n, "exact", 0, "carry_save")
         assert len(grid.cells) == n * (n - 1) + n
 
 
 def test_exact_grid_spot_products():
-    grid = build(8, "exact", 0)
+    grid = build(8, "exact", 0, "carry_save")
     assert eval_multiply(grid, 13, 11) == 143
     assert eval_multiply(grid, 255, 255) == 65025
     assert eval_multiply(grid, 0, 255) == 0
@@ -58,7 +60,7 @@ def test_exact_grid_spot_products():
 
 
 def test_n2_exhaustive_exactness():
-    grid = build(2, "exact", 0)
+    grid = build(2, "exact", 0, "carry_save")
     assert len(grid.cells) == 4
     for x in range(4):
         for y in range(4):
@@ -67,7 +69,7 @@ def test_n2_exhaustive_exactness():
 
 def test_degree_zero_is_exact_for_any_adder(small_library):
     for name in small_library.names():
-        grid = build(4, name, 0, library=small_library)
+        grid = build(4, name, 0, "carry_save", library=small_library)
         for x in range(16):
             for y in range(16):
                 assert eval_multiply(grid, x, y) == x * y
@@ -75,14 +77,14 @@ def test_degree_zero_is_exact_for_any_adder(small_library):
 
 def test_zero_adder_full_degree_hand_values(zero_adder):
     lib = AdderLibrary([zero_adder])
-    grid = build(8, "ZERO", 16, library=lib)
+    grid = build(8, "ZERO", 16, "carry_save", library=lib)
     # with every adder output forced to 0, only the raw pp[0][0] bit survives
     assert eval_multiply(grid, 3, 3) == 1
     assert eval_multiply(grid, 2, 2) == 0
 
 
 def test_operand_range_checks():
-    grid = build(4, "exact", 0)
+    grid = build(4, "exact", 0, "carry_save")
     with pytest.raises(ValueError):
         eval_multiply(grid, 16, 0)
     with pytest.raises(ValueError):
@@ -92,7 +94,7 @@ def test_operand_range_checks():
 
 
 def test_eval_many_rejects_mismatched_and_out_of_range():
-    grid = build(4, "exact", 0)
+    grid = build(4, "exact", 0, "carry_save")
     with pytest.raises(ValueError, match="same shape"):
         eval_multiply_many(grid, np.zeros(3, dtype=int), np.zeros(4, dtype=int))
     with pytest.raises(ValueError, match="same shape"):
@@ -184,19 +186,19 @@ def test_cluster_sweep_totals_equal_exhaustive_sweep_property(
 
 
 def test_weight_rule_cell_assignment():
-    grid = build(8, "exact", 7)
+    grid = build(8, "exact", 7, "carry_save")
     entries = [(c.weight, c.approximate) for c in grid.cells]
     assert len(entries) == 64
     by_weight = sum(1 for w, _ in entries if w <= 6)
     assert sum(1 for _, ap in entries if ap) == by_weight
     assert all(ap == (w < 7) for w, ap in entries)
 
-    assert sum(1 for c in build(8, "exact", 0).cells if c.approximate) == 0
-    assert sum(1 for c in build(8, "exact", 16).cells if c.approximate) == 64
+    assert sum(1 for c in build(8, "exact", 0, "carry_save").cells if c.approximate) == 0
+    assert sum(1 for c in build(8, "exact", 16, "carry_save").cells if c.approximate) == 64
 
 
 def test_monotone_cell_assignment():
-    grids = {d: build(8, "exact", d) for d in (0, 3, 7, 8, 9, 16)}
+    grids = {d: build(8, "exact", d, "carry_save") for d in (0, 3, 7, 8, 9, 16)}
     degrees = sorted(grids)
     for lo, hi in zip(degrees, degrees[1:]):
         lo_set = {c.role for c in grids[lo].cells if c.approximate}
@@ -207,8 +209,8 @@ def test_monotone_cell_assignment():
 def test_determinism_same_config():
     rng = random.Random(7)
     lib = AdderLibrary([random_adder("R", rng)])
-    g1 = build(6, "R", 5, library=lib)
-    g2 = build(6, "R", 5, library=lib)
+    g1 = build(6, "R", 5, "carry_save", library=lib)
+    g2 = build(6, "R", 5, "carry_save", library=lib)
     for x in range(0, 64, 7):
         for y in range(0, 64, 5):
             assert eval_multiply(g1, x, y) == eval_multiply(g2, x, y)
@@ -219,7 +221,7 @@ def test_vectorized_matches_scalar_n4(small_library):
     xs, ys = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
     for name in small_library.names():
         for degree in (0, 3, 8):
-            grid = build(4, name, degree, library=small_library)
+            grid = build(4, name, degree, "carry_save", library=small_library)
             batch = eval_multiply_many(grid, xs.ravel(), ys.ravel())
             scalar = [eval_multiply(grid, int(x), int(y))
                       for x, y in zip(xs.ravel(), ys.ravel())]
@@ -229,7 +231,7 @@ def test_vectorized_matches_scalar_n4(small_library):
 def test_vectorized_matches_scalar_n8_sample(small_library):
     rng = random.Random(99)
     pairs = [(rng.randrange(256), rng.randrange(256)) for _ in range(200)]
-    grid = build(8, "RND1", 11, library=small_library)
+    grid = build(8, "RND1", 11, "carry_save", library=small_library)
     xs = np.array([p[0] for p in pairs])
     ys = np.array([p[1] for p in pairs])
     batch = eval_multiply_many(grid, xs, ys)
@@ -239,7 +241,7 @@ def test_vectorized_matches_scalar_n8_sample(small_library):
 
 def test_truncation_bound(small_library):
     rng = random.Random(5)
-    grid = build(4, "RND2", 8, library=small_library)
+    grid = build(4, "RND2", 8, "carry_save", library=small_library)
     for _ in range(300):
         x, y = rng.randrange(16), rng.randrange(16)
         assert 0 <= eval_multiply(grid, x, y) < 256
@@ -257,7 +259,7 @@ def test_row_ripple_cell_count_and_exactness():
 
 def test_row_ripple_half_adder_positions():
     grid = build(8, "exact", 16, architecture="row_ripple")
-    assert grid.config.half_adders == "exact"   # architecture default
+    assert grid.config.half_adders == "exact"   # fixed by the layout
     const_fed = {c.role for c in grid.cells
                  if 0 in (c.in_a, c.in_b, c.in_cin)}
     # the LSB cell of each row plus the top cell of row 1

@@ -73,7 +73,7 @@ def test_merge_commutative_and_associative():
 
 
 def test_sequential_accumulate_equals_chunked_sweep(small_library):
-    grid = build_multiplier(MultiplierConfig(4, "RND1", 6), small_library)
+    grid = build_multiplier(MultiplierConfig(4, "RND1", 6, "carry_save"), small_library)
     seq = MetricAccumulator()
     for x in range(16):
         for y in range(16):
@@ -86,7 +86,7 @@ def test_sequential_accumulate_equals_chunked_sweep(small_library):
 
 
 def test_sweep_partition_merge_any_order(small_library):
-    grid = build_multiplier(MultiplierConfig(4, "RND2", 5), small_library)
+    grid = build_multiplier(MultiplierConfig(4, "RND2", 5, "carry_save"), small_library)
     bounds = sweep_chunk_bounds(4)
     parts = [sweep_chunk(grid, lo, hi) for lo, hi in bounds]
     forward = parts[0]
@@ -102,7 +102,7 @@ def test_sweep_partition_merge_any_order(small_library):
 
 
 def test_exhaustive_sweep_exact_n8():
-    grid = build_multiplier(MultiplierConfig(8, "exact", 0), EXACT_LIB)
+    grid = build_multiplier(MultiplierConfig(8, "exact", 0, "carry_save"), EXACT_LIB)
     acc = exhaustive_sweep(grid)
     assert acc.count == 65536
     assert acc.err_count == 0
@@ -110,7 +110,7 @@ def test_exhaustive_sweep_exact_n8():
 
 
 def test_finalize_exact_report():
-    grid = build_multiplier(MultiplierConfig(4, "exact", 0), EXACT_LIB)
+    grid = build_multiplier(MultiplierConfig(4, "exact", 0, "carry_save"), EXACT_LIB)
     report = finalize(exhaustive_sweep(grid), 225)
     assert report.er == 0.0
     assert report.med == 0.0
@@ -128,7 +128,7 @@ def test_finalize_rejects_empty():
 
 def test_finalize_matches_oracle_n4(small_library):
     for name in ("ZERO", "RND1", "RND2"):
-        grid = build_multiplier(MultiplierConfig(4, name, 8), small_library)
+        grid = build_multiplier(MultiplierConfig(4, name, 8, "carry_save"), small_library)
         report = finalize(exhaustive_sweep(grid), 225)
         want = oracle_metrics(grid)
         assert report.count == want["count"]
@@ -161,7 +161,7 @@ def test_psnr_strictly_decreasing():
 
 def test_jensen_and_ned_identities(small_library):
     for name in ("ZERO", "RND1", "RND2"):
-        grid = build_multiplier(MultiplierConfig(4, name, 4), small_library)
+        grid = build_multiplier(MultiplierConfig(4, name, 4, "carry_save"), small_library)
         report = finalize(exhaustive_sweep(grid), 225)
         assert report.mse >= report.med ** 2
         assert report.ned_global * 225 == pytest.approx(report.med, rel=1e-12)
@@ -173,7 +173,7 @@ def test_jensen_and_ned_identities(small_library):
 def test_integer_statistics_are_exact():
     rng = random.Random(11)
     lib = AdderLibrary([random_adder("R", rng)])
-    grid = build_multiplier(MultiplierConfig(8, "R", 16), lib)
+    grid = build_multiplier(MultiplierConfig(8, "R", 16, "carry_save"), lib)
     acc = exhaustive_sweep(grid)
     assert isinstance(acc.sum_ed, int)
     assert isinstance(acc.sum_ed_sq, int)
@@ -197,7 +197,7 @@ def test_cluster_sweep_sum_ed_sq_is_exact_past_int64(monkeypatch):
         xs, ys = chunk_operands(grid.width, lo, hi)
         return xs * ys, np.full(xs.shape, top, dtype=np.int64)
     monkeypatch.setattr(axmul.clustering, "chunk_errors", chunk_errors)
-    grid = build_multiplier(MultiplierConfig(12, "exact", 0), EXACT_LIB)
+    grid = build_multiplier(MultiplierConfig(12, "exact", 0, "carry_save"), EXACT_LIB)
     report = cluster_sweep(grid, ClusterSpec(12, 256))
     totals = report.totals
     assert totals.count == 1 << 24
@@ -227,4 +227,4 @@ def test_sweeps_reject_width_above_limit_before_evaluating():
     assert 4 ** MAX_WIDTH < 2 ** 32
     # no grid wider than that can be built, so no sweep can reach one
     with pytest.raises(ValueError, match="widths up to 12"):
-        MultiplierConfig(MAX_WIDTH + 1, "exact", 0)
+        MultiplierConfig(MAX_WIDTH + 1, "exact", 0, "carry_save")
