@@ -9,6 +9,7 @@ never hard-coded in the engine.
 from __future__ import annotations
 
 import json
+import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -142,9 +143,10 @@ class AdderLibrary:
 def load_library(document: str) -> AdderLibrary:
     """Parse a JSON adder-library document.
 
-    The document is a top-level list of objects with fields ``name``,
-    ``sum_bits`` and ``cout_bits`` (8-character '0'/'1' strings, position
-    i = truth-table index i).
+    The document is a top-level list of objects with fields ``name`` (non-
+    empty, without '/', '\\' or control characters), ``sum_bits`` and
+    ``cout_bits`` (8-character '0'/'1' strings, position i = truth-table
+    index i).
     """
     try:
         data = json.loads(document)
@@ -160,6 +162,11 @@ def load_library(document: str) -> AdderLibrary:
         name = entry.get("name")
         if not isinstance(name, str) or not name:
             raise AdderFormatError(f"entry #{pos}: missing or empty name")
+        # names become parts of output file names and SVG text
+        if any(ch in "/\\" or unicodedata.category(ch) == "Cc" for ch in name):
+            raise AdderFormatError(
+                f"entry #{pos}: name {name!r} contains a path separator or a "
+                "control character")
         for field in ("sum_bits", "cout_bits"):
             if field not in entry:
                 raise AdderFormatError(f"entry {name!r}: missing field {field!r}")

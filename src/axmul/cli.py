@@ -32,6 +32,9 @@ if TYPE_CHECKING:
     from .fabric import MultiplierConfig
 
 DEFAULT_FORMATS = ("csv", "json", "svg")
+# designspace numbers its 5 adder types x 4 degrees 1..20; kept here so the
+# --ordinals usage error needs no numpy
+DESIGN_ORDINALS = range(1, 21)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,10 +72,15 @@ def format_list(text: str) -> tuple[str, ...]:
 
 def ordinal_list(text: str) -> set[int]:
     try:
-        return {int(tok) for tok in text.split(",")} if text else set()
+        ordinals = {int(tok) for tok in text.split(",")}
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a comma list of design ordinals, got {text!r}") from None
+    bad = sorted(ordinals - set(DESIGN_ORDINALS))
+    if bad:
+        raise argparse.ArgumentTypeError(
+            f"design ordinals run {DESIGN_ORDINALS[0]}..{DESIGN_ORDINALS[-1]}, got {bad}")
+    return ordinals
 
 
 def parse_degree(text: str, width: int) -> tuple[str, int]:
@@ -310,20 +318,19 @@ def cmd_select(args) -> int:
     policy = SelectionPolicy(args.metric,
                              args.ned_threshold if args.metric == "ned"
                              else args.psnr_threshold)
-    sel = select_per_cluster([(r.design, r.clusters) for r in rows], policy)
+    ordinals = select_per_cluster([(r.design, r.clusters) for r in rows], policy)
+    summary = selection_summary(ordinals)
 
     if "csv" in args.format:
-        _write(args.out, "selection.csv", selection_csv(sel))
+        _write(args.out, "selection.csv", selection_csv(ordinals))
     if "json" in args.format:
-        doc = selection_summary(sel)
-        doc["policy"] = {"metric": policy.quality_metric,
-                         "threshold": policy.threshold}
+        doc = {**summary, "policy": {"metric": policy.quality_metric,
+                                     "threshold": policy.threshold}}
         _write(args.out, "selection.json", _json_text(doc))
-    counts = sel.usage_counts()
-    top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:4]
-    summary = " ".join(f"{k}:{v}" for k, v in top)
+    top = sorted(summary["usage_counts"].items(), key=lambda kv: (-kv[1], kv[0]))[:4]
+    shown = " ".join(f"{k}:{v}" for k, v in top)
     print(f"selection ({policy.quality_metric}<= {policy.threshold:g}): "
-          f"exact_fraction={fmt6(sel.exact_fraction)} top=[{summary}]")
+          f"exact_fraction={fmt6(summary['exact_fraction'])} top=[{shown}]")
     return 0
 
 

@@ -121,32 +121,14 @@ class SelectionPolicy:
         return report.cells["psnr"] >= self.threshold
 
 
-@dataclass(frozen=True)
-class SelectionMap:
-    grid_side: int
-    choices: tuple[DesignId | None, ...]   # row-major; None means exact fallback
-
-    def choice(self, ia: int, ib: int) -> DesignId | None:
-        return self.choices[ia * self.grid_side + ib]
-
-    def usage_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for c in self.choices:
-            key = c.label if c is not None else "exact"
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
-    @property
-    def exact_fraction(self) -> float:
-        return sum(1 for c in self.choices if c is None) / len(self.choices)
-
-
 def select_per_cluster(reports: list[tuple[DesignId, ClusterReport]],
-                       policy: SelectionPolicy) -> SelectionMap:
-    """Pick, per cluster, the highest-degree design whose cell meets the policy.
+                       policy: SelectionPolicy) -> np.ndarray:
+    """Per block, the ordinal of the highest-degree design whose cell meets the policy.
 
-    Ties go to the lowest cluster NED, then the lowest ordinal; clusters
-    with no qualifying design fall back to exact.
+    Returns the (grid_side, grid_side) int64 grid of ordinals, indexed
+    [ia, ib]; 0 marks a block where no design qualifies (exact fallback),
+    so design ordinals must be >= 1.  Ties go to the lowest cluster NED,
+    then the lowest ordinal.
     """
     if not reports:
         raise ValueError("no design reports to select from")
@@ -157,38 +139,36 @@ def select_per_cluster(reports: list[tuple[DesignId, ClusterReport]],
 
     # lexicographic min of (-degree, ned, ordinal) over the admitted designs,
     # one design at a time over all blocks; degree -1 marks "none yet"
-    best = np.full(side * side, -1)
     best_degree = np.full(side * side, -1)
     best_ned = np.zeros(side * side)
     best_ordinal = np.zeros(side * side, dtype=np.int64)
-    for k, (did, rep) in enumerate(reports):
+    for did, rep in reports:
         ned = rep.cells["ned"]
         wins = policy.admits(rep) & (
             (did.degree_bits > best_degree)
             | ((did.degree_bits == best_degree)
                & ((ned < best_ned)
                   | ((ned == best_ned) & (did.ordinal < best_ordinal)))))
-        best[wins] = k
         best_degree[wins] = did.degree_bits
         best_ned[wins] = ned[wins]
         best_ordinal[wins] = did.ordinal
-    designs = np.array([None] + [did for did, _ in reports], dtype=object)
-    return SelectionMap(side, tuple(designs[best + 1].tolist()))
+    return best_ordinal.reshape(side, side)
 
 
-def selection_csv(sel: SelectionMap) -> str:
+def selection_csv(ordinals: np.ndarray) -> str:
     lines = ["ia,ib,design"]
-    g = sel.grid_side
-    for ia in range(g):
-        for ib in range(g):
-            c = sel.choice(ia, ib)
-            lines.append(f"{ia},{ib},{c.ordinal if c is not None else 'exact'}")
+    for ia, row in enumerate(ordinals.tolist()):
+        lines.extend(f"{ia},{ib},{k or 'exact'}" for ib, k in enumerate(row))
     return "\n".join(lines) + "\n"
 
 
-def selection_summary(sel: SelectionMap) -> dict:
+def selection_summary(ordinals: np.ndarray) -> dict:
+    """Grid side, blocks per design (`Design<k>`, `exact` for 0) and the exact share."""
+    keys, counts = np.unique(ordinals, return_counts=True)
+    usage = {f"Design{k}" if k else "exact": n
+             for k, n in zip(keys.tolist(), counts.tolist())}
     return {
-        "grid_side": sel.grid_side,
-        "usage_counts": sel.usage_counts(),
-        "exact_fraction": sel.exact_fraction,
+        "grid_side": ordinals.shape[0],
+        "usage_counts": usage,
+        "exact_fraction": usage.get("exact", 0) / ordinals.size,
     }

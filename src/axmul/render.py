@@ -16,6 +16,8 @@ _BAR_AREA_H = 280
 
 
 def _header(width, height, title):
+    # adder names reach the title; markup characters in them are escaped
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',

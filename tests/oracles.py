@@ -151,10 +151,11 @@ def oracle_blocks(cluster_size: int, sums, squares) -> list[dict]:
     return out
 
 
-def oracle_select(reports, policy) -> list:
-    """Scalar reference of `designspace.select_per_cluster`: per block, the
-    admitted design with the least (-degree, ned, ordinal), else None."""
-    choices = []
+def oracle_select(reports, policy) -> list[int]:
+    """Scalar reference of `designspace.select_per_cluster`: per block in
+    row-major order, the ordinal of the admitted design with the least
+    (-degree, ned, ordinal), else 0."""
+    ordinals = []
     for ci in range(len(reports[0][1].cells)):
         best = None
         for did, rep in reports:
@@ -166,10 +167,10 @@ def oracle_select(reports, policy) -> list:
             if not admitted:
                 continue
             key = (-did.degree_bits, ned, did.ordinal)
-            if best is None or key < best[0]:
-                best = (key, did)
-        choices.append(best[1] if best else None)
-    return choices
+            if best is None or key < best:
+                best = key
+        ordinals.append(best[2] if best else 0)
+    return ordinals
 
 
 def oracle_histogram(grid: CellGrid, bin_width: int) -> dict:

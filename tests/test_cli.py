@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import xml.dom.minidom
 from pathlib import Path
 
 import pytest
@@ -114,7 +115,8 @@ LAUNCH = ("import sys; from axmul.cli import main; code = main(sys.argv[1:]); "
     (["--help"], 0),
     (["sweep", "--workers", "0"], 1),
     (["sweep", "--type", "exact", "--degree", "0", "--out", "LIB"], 1),
-], ids=["validate", "help", "usage-error", "out-is-a-file"])
+    (["table", "--library", "missing.json", "--ordinals", "1,99"], 1),
+], ids=["validate", "help", "usage-error", "out-is-a-file", "ordinals"])
 def test_validate_help_and_usage_errors_do_not_load_numpy(zero_lib_file, args, code):
     args = [zero_lib_file if a == "LIB" else a for a in args]
     env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
@@ -254,8 +256,12 @@ def test_filtered_table_analyzes_only_matching_designs(fake_ama_file, tmp_path,
 
 @pytest.mark.parametrize("design_filter", [
     (["--type", "NOPE"], "matched no rows"),
-    (["--ordinals", "99"], "matched no rows"),
+    (["--ordinals", "99"], "ordinals run 1..20, got [99]"),
     (["--ordinals", "abc"], "--ordinals"),   # argparse names the flag
+    # an ordinal that names no design is refused, not dropped
+    (["--ordinals", "1,99"], "ordinals run 1..20, got [99]"),
+    (["--ordinals", "0,21"], "ordinals run 1..20, got [0, 21]"),
+    (["--ordinals", ""], "--ordinals"),   # an empty filter used to select every row
 ])
 def test_table_filter_matching_nothing_is_usage_error(fake_ama_file, tmp_path, capsys,
                                                       design_filter, eval_pair_counts):
@@ -294,6 +300,40 @@ def test_clusters_exact(exact_lib_file, tmp_path, capsys):
     assert (out / "clusters_exact_d0.svg").read_text().startswith("<svg")
     csv_lines = (out / "clusters_exact_d0.csv").read_text().strip().split("\n")
     assert len(csv_lines) == 1 + 16
+
+
+@pytest.mark.parametrize("name", ["sub/dir", "../esc", "back\\slash", "tab\tin",
+                                  "bell\x07", "del\x7f"])
+def test_adder_names_that_break_outputs_are_format_errors(tmp_path, capsys, name,
+                                                          eval_pair_counts):
+    library = tmp_path / "lib.json"
+    library.write_text(json.dumps([
+        {"name": name, "sum_bits": "01101001", "cout_bits": "00010111"}]))
+    assert main(["validate", str(library)]) == 2
+    out = tmp_path / "out"
+    assert main(["clusters", "--library", str(library), "--width", "4",
+                 "--cluster-size", "4", "--type", name, "--degree", "0",
+                 "--out", str(out)]) == 2
+    assert "path separator or a control character" in capsys.readouterr().err
+    assert eval_pair_counts == []
+    assert not out.exists()
+
+
+def test_svg_titles_escape_markup(tmp_path):
+    name = "A&B<x>"
+    library = tmp_path / "lib.json"
+    library.write_text(json.dumps([
+        {"name": name, "sum_bits": "01101001", "cout_bits": "00010111"}]))
+    for command in ("clusters", "histogram"):
+        assert main([command, "--library", str(library), "--width", "4",
+                     "--cluster-size", "4", "--type", name, "--degree", "0",
+                     "--format", "svg", "--out", str(tmp_path)]) == 0
+    titles = {}
+    for svg in tmp_path.glob("*.svg"):
+        title = xml.dom.minidom.parse(str(svg)).getElementsByTagName("text")[0]
+        titles[svg.name] = title.firstChild.data
+    assert titles == {f"clusters_{name}_d0.svg": f"per-cluster NED, {name}_d0",
+                      f"histogram_{name}_d0.svg": f"ED histogram, {name}_d0"}
 
 
 def test_histogram_exact(exact_lib_file, tmp_path, capsys):
@@ -416,6 +456,29 @@ def test_outputs_match_committed_digests(workload, key, args, tmp_path, capsys):
              for p in tmp_path.iterdir()}
     assert files == expected["files"]
     assert hashlib.sha256(stdout).hexdigest() == expected["stdout"]
+
+
+# sha256 of select --metric psnr on the shipped library, recorded before the
+# selection became an ordinal array; the benchmark digests cover --metric ned only
+PSNR_SELECT_DIGESTS = {
+    16: {"selection.csv": "71ea7485a29e83a4a2c8c078cef45658c10a74beaa4137376102ae0ea4d82d7b",
+         "selection.json": "091d2d33c98a654cdc6853aaa52889bf9e284a6d4e98092defecb3f334a5bf50",
+         "stdout": "67c6fffee9696a29b37229e1092290d416780c41b3891060dce5c0ae99a9c373"},
+    2: {"selection.csv": "75c471fc765e1971b08555d38b977c94c7e5e3588d129a2945ff0a77b53ce283",
+        "selection.json": "20a41992c4416cb030bed2faa1ee5cc76b49d207fd370e93c7db5ddef0fdeb38",
+        "stdout": "a655e0749d77fd2a47a98837dc2e9f802160519e0dbf8541de7537dc9b6b46ae"},
+}
+
+
+@pytest.mark.parametrize("cluster_size", sorted(PSNR_SELECT_DIGESTS))
+def test_psnr_selection_matches_recorded_digests(cluster_size, tmp_path, capsys):
+    code = main(["select", "--metric", "psnr", "--psnr-threshold", "25",
+                 "--cluster-size", str(cluster_size), "--out", str(tmp_path)])
+    assert code == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    digests["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == PSNR_SELECT_DIGESTS[cluster_size]
 
 
 def load_bench_module(name, monkeypatch):

@@ -104,9 +104,9 @@ def test_select_nothing_qualifies():
     reports = [(lo, synth_report([0.2, 0.3, 0.4, 0.5])),
                (hi, synth_report([0.6, 0.7, 0.8, 0.9]))]
     sel = select_per_cluster(reports, SelectionPolicy("ned", 0.0))
-    assert all(c is None for c in sel.choices)
-    assert sel.exact_fraction == 1.0
-    assert sel.usage_counts() == {"exact": 4}
+    assert sel.tolist() == [[0, 0], [0, 0]]
+    assert selection_summary(sel) == {"grid_side": 2, "usage_counts": {"exact": 4},
+                                      "exact_fraction": 1.0}
 
 
 def test_select_everything_qualifies_prefers_degree():
@@ -114,7 +114,7 @@ def test_select_everything_qualifies_prefers_degree():
     reports = [(lo, synth_report([0.0, 0.0, 0.0, 0.0])),
                (hi, synth_report([0.9, 0.9, 0.9, 0.9]))]
     sel = select_per_cluster(reports, SelectionPolicy("ned", math.inf))
-    assert all(c is hi for c in sel.choices)
+    assert (sel == hi.ordinal).all()
 
 
 def test_select_tie_breaks():
@@ -125,7 +125,8 @@ def test_select_tie_breaks():
                (hi, synth_report([0.3, 0.1, 0.2, 0.2])),
                (hi2, synth_report([0.1, 0.3, 0.2, 0.2]))]
     sel = select_per_cluster(reports, SelectionPolicy("ned", 0.5))
-    assert [c.ordinal for c in sel.choices] == [3, 2, 2, 2]
+    assert sel.dtype == np.int64
+    assert sel.tolist() == [[3, 2], [2, 2]]   # [ia][ib]
 
 
 def test_select_psnr_metric():
@@ -133,7 +134,7 @@ def test_select_psnr_metric():
     reports = [(lo, synth_report([0.1] * 4, psnrs=[30, 30, 30, 30])),
                (hi, synth_report([0.1] * 4, psnrs=[30, 20, 30, 20]))]
     sel = select_per_cluster(reports, SelectionPolicy("psnr", 25.0))
-    assert [c.ordinal for c in sel.choices] == [2, 1, 2, 1]
+    assert sel.tolist() == [[2, 1], [2, 1]]
 
 
 def test_select_tightening_never_unexacts():
@@ -142,9 +143,7 @@ def test_select_tightening_never_unexacts():
                (hi, synth_report([0.1, 0.4, 0.6, 0.9]))]
     loose = select_per_cluster(reports, SelectionPolicy("ned", 0.5))
     tight = select_per_cluster(reports, SelectionPolicy("ned", 0.1))
-    for lo_c, ti_c in zip(loose.choices, tight.choices):
-        if lo_c is None:
-            assert ti_c is None
+    assert not ((loose == 0) & (tight != 0)).any()
 
 
 def test_select_monotone_rescale_invariance():
@@ -156,8 +155,7 @@ def test_select_monotone_rescale_invariance():
     squared = [(lo, synth_report([v * v for v in neds_lo])),
                (hi, synth_report([v * v for v in neds_hi]))]
     sel2 = select_per_cluster(squared, SelectionPolicy("ned", 0.25))
-    assert [getattr(c, "ordinal", None) for c in sel1.choices] == \
-           [getattr(c, "ordinal", None) for c in sel2.choices]
+    assert sel1.tolist() == sel2.tolist()
 
 
 def test_select_mismatched_specs_rejected():
@@ -189,15 +187,14 @@ def test_select_matches_argmax_oracle_4bit():
         qualifying = [(did, rep.cells["ned"][ci]) for did, rep in designs
                       if rep.cells["ned"][ci] <= threshold]
         if not qualifying:
-            assert sel.choices[ci] is None
+            assert sel.flat[ci] == 0
             continue
         best_bits = max(d.degree_bits for d, _ in qualifying)
-        pool = [(ned, d.ordinal, d) for d, ned in qualifying
+        pool = [(ned, d.ordinal) for d, ned in qualifying
                 if d.degree_bits == best_bits]
-        want = min(pool)[2]
-        assert sel.choices[ci] is want
+        assert sel.flat[ci] == min(pool)[1]
 
-    counts = sel.usage_counts()
+    counts = selection_summary(sel)["usage_counts"]
     assert sum(counts.values()) == 16
 
 
@@ -219,7 +216,7 @@ def test_select_matches_per_block_reference(data, metric):
                                           psnrs=psnrs, spec=spec)))
     policy = SelectionPolicy(metric, data.draw(st.sampled_from((0.0, 0.5, 20.0))))
     sel = select_per_cluster(reports, policy)
-    assert list(sel.choices) == oracle_select(reports, policy)
+    assert sel.ravel().tolist() == oracle_select(reports, policy)
 
 
 def test_selection_csv_and_summary():
