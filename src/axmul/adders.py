@@ -17,6 +17,9 @@ from typing import Iterable
 EXACT_NAME = "exact"
 EXACT_SUM_BITS = "01101001"
 EXACT_COUT_BITS = "00010111"
+# the longest output file name is clusters_<name>_d24_ned.txt, 21 bytes more
+# than the name, and most file systems cap a name at 255 bytes
+MAX_NAME_BYTES = 255 - 21
 
 
 class AdderFormatError(ValueError):
@@ -144,9 +147,9 @@ def load_library(document: str) -> AdderLibrary:
     """Parse a JSON adder-library document.
 
     The document is a top-level list of objects with fields ``name`` (non-
-    empty, without '/', '\\' or control characters), ``sum_bits`` and
-    ``cout_bits`` (8-character '0'/'1' strings, position i = truth-table
-    index i).
+    empty, at most MAX_NAME_BYTES bytes in UTF-8, without '/', '\\' or
+    control characters), ``sum_bits`` and ``cout_bits`` (8-character
+    '0'/'1' strings, position i = truth-table index i).
     """
     try:
         data = json.loads(document)
@@ -167,6 +170,11 @@ def load_library(document: str) -> AdderLibrary:
             raise AdderFormatError(
                 f"entry #{pos}: name {name!r} contains a path separator or a "
                 "control character")
+        size = len(name.encode("utf-8", "surrogatepass"))
+        if size > MAX_NAME_BYTES:
+            raise AdderFormatError(
+                f"entry #{pos}: name is {size} bytes in UTF-8; at most "
+                f"{MAX_NAME_BYTES} fit in an output file name")
         for field in ("sum_bits", "cout_bits"):
             if field not in entry:
                 raise AdderFormatError(f"entry {name!r}: missing field {field!r}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from importlib import resources
@@ -50,7 +51,7 @@ def default_library_path() -> str:
 
 def nonnegative_float(text: str) -> float:
     value = float(text)
-    if value < 0:
+    if not value >= 0:   # also refuses NaN, which compares false to everything
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
     return value
 
@@ -335,6 +336,9 @@ def cmd_select(args) -> int:
 
 
 def main(argv=None) -> int:
+    # axmul makes no BLAS call, but OpenBLAS's idle worker thread spins for
+    # ~0.1 s of CPU in every process that imports numpy; a caller's value wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -258,8 +258,9 @@ def ed_histogram(grid: CellGrid, bin_width: int | None = None) -> EdHistogram:
 
     if bin_width is None:
         bin_width = max(1, math.ceil(max_ed / 64))
-    binned = np.add.reduceat(counts[:max_ed + 1], np.arange(0, max_ed + 1, bin_width),
-                             dtype=counts.dtype)
+    # a step past max_ed gives the same [0] and keeps np.arange within int64
+    starts = np.arange(0, max_ed + 1, min(bin_width, max_ed + 1))
+    binned = np.add.reduceat(counts[:max_ed + 1], starts, dtype=counts.dtype)
     total = int(counts.sum())
     return EdHistogram(
         bin_width=bin_width,

@@ -129,6 +129,31 @@ def test_validate_help_and_usage_errors_do_not_load_numpy(zero_lib_file, args, c
                               "cout rows [3, 5, 6, 7])\nexact: 0 erroneous rows\n")
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+                    reason="needs /proc/self/task and two CPUs, where OpenBLAS "
+                           "would start a worker thread")
+@pytest.mark.parametrize("caller, seen", [(None, "1"), ("2", "2")],
+                         ids=["default", "caller-set"])
+def test_analysis_runs_one_blas_thread_unless_the_caller_sets_one(exact_lib_file,
+                                                                   tmp_path, caller, seen):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(SRC_DIR)
+    if caller is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller
+    launch = ("import os, sys; from axmul.cli import main; code = main(sys.argv[1:]); "
+              "print(len(os.listdir('/proc/self/task')), "
+              "os.environ.get('OPENBLAS_NUM_THREADS'), file=sys.stderr); sys.exit(code)")
+    run = subprocess.run([sys.executable, "-c", launch, "sweep", "--library",
+                          exact_lib_file, "--width", "4", "--cluster-size", "4",
+                          "--type", "exact", "--degree", "0", "--out", str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0
+    threads, value = run.stderr.split()
+    if caller is None:   # OpenBLAS started no worker thread
+        assert threads == "1"
+    assert value == seen
+
+
 def test_usage_errors():
     assert main([]) == 1
     assert main(["sweep", "--bogus-flag"]) == 1
@@ -319,6 +344,40 @@ def test_adder_names_that_break_outputs_are_format_errors(tmp_path, capsys, name
     assert not out.exists()
 
 
+def test_adder_names_too_long_for_a_file_name_are_format_errors(tmp_path, capsys,
+                                                                eval_pair_counts):
+    library = tmp_path / "lib.json"
+    name = "\u00e9" * 117 + "N"   # 235 bytes in UTF-8, one past the limit
+    library.write_text(json.dumps([
+        {"name": name, "sum_bits": "01101001", "cout_bits": "00010111"}]))
+    assert main(["validate", str(library)]) == 2
+    out = tmp_path / "out"
+    assert main(["clusters", "--library", str(library), "--width", "4",
+                 "--cluster-size", "4", "--type", name, "--degree", "0",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("name is 235 bytes in UTF-8; at most 234") == 2
+    assert eval_pair_counts == []
+    assert not out.exists()
+
+
+def test_longest_adder_name_writes_every_output(tmp_path):
+    name = "N" * 234
+    library = tmp_path / "lib.json"
+    library.write_text(json.dumps([
+        {"name": name, "sum_bits": "01101001", "cout_bits": "00010111"}]))
+    # d10 is as long as the longest label, d24; clusters_<name>_d10_ned.txt is 255 bytes
+    common = ["--library", str(library), "--width", "5", "--cluster-size", "4",
+              "--type", name, "--degree", "10", "--out", str(tmp_path / "out")]
+    for command in ("sweep", "clusters", "histogram"):
+        assert main([command, *common]) == 0
+    label = f"{name}_d10"
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted([
+        f"sweep_{label}.csv", f"sweep_{label}.json",
+        f"clusters_{label}.csv", f"clusters_{label}_ned.txt",
+        f"clusters_{label}.svg", f"clusters_{label}.json",
+        f"histogram_{label}.csv", f"histogram_{label}.svg", f"histogram_{label}.json"])
+
+
 def test_svg_titles_escape_markup(tmp_path):
     name = "A&B<x>"
     library = tmp_path / "lib.json"
@@ -356,6 +415,20 @@ def test_histogram_zero_adder_mass(zero_lib_file, tmp_path):
     assert code == 0
     lines = (out / "histogram_ZERO_d8.csv").read_text().strip().split("\n")
     assert sum(int(line.split(",")[1]) for line in lines[1:]) == 256
+
+
+def test_histogram_bin_width_past_int64_gives_one_bin(tmp_path):
+    csvs = {}
+    for bin_width in (2 ** 62, 2 ** 64):
+        out = tmp_path / str(bin_width)
+        assert main(["histogram", "--width", "4", "--cluster-size", "4",
+                     "--type", "AMA1", "--degree", "3", "--bin-width", str(bin_width),
+                     "--out", str(out)]) == 0
+        doc = json.loads((out / "histogram_AMA1_d3.json").read_text())
+        assert doc["bin_width"] == bin_width
+        csvs[bin_width] = (out / "histogram_AMA1_d3.csv").read_text()
+    assert csvs[2 ** 64] == "lower_edge,count\n0,256\n"   # one bin of 4^4 pairs
+    assert csvs[2 ** 64] == csvs[2 ** 62]
 
 
 def test_select_threshold_extremes(fake_ama_file, tmp_path):
@@ -397,6 +470,10 @@ BAD_INPUT_CASES = {
        for flag in ("ned-threshold", "psnr-threshold")
        for command, reads in (("clusters", True), ("select", True), ("sweep", False),
                               ("table", False), ("histogram", False))},
+    # NaN compares false to every value, so it would judge no block
+    **{f"{flag}-nan-{command}": (command, [f"--{flag}", "nan"], 1)
+       for flag in ("ned-threshold", "psnr-threshold")
+       for command in ("clusters", "select")},
     # the design library exists at width 8 only
     "width-table": ("table", ["--width", "10", "--ordinals", "1"], 1),
     "width-select": ("select", ["--width", "4", "--cluster-size", "64"], 1),
