@@ -3,7 +3,7 @@
 A full adder is modelled purely behaviourally: two 8-entry bit tables
 (sum and carry-out), indexed by ``idx = 4*A + 2*B + Cin``.  Approximate
 adders are data, not code -- they are loaded from a JSON library file and
-never hard-coded in the engine.
+never hard-coded in the engine; axmul reads libraries but never writes them.
 """
 
 from __future__ import annotations
@@ -49,12 +49,6 @@ class FullAdderSpec:
             if len(bits) != 8 or any(b not in (0, 1) for b in bits):
                 raise ValueError(f"{self.name}: {field} must be 8 bits of 0/1")
 
-    def sum_string(self) -> str:
-        return "".join(str(b) for b in self.sum_bits)
-
-    def cout_string(self) -> str:
-        return "".join(str(b) for b in self.cout_bits)
-
 
 def _parse_bits(name: str, field: str, text) -> tuple[int, ...]:
     if not isinstance(text, str):
@@ -69,14 +63,10 @@ def _parse_bits(name: str, field: str, text) -> tuple[int, ...]:
 
 @lru_cache(maxsize=1)
 def exact_full_adder() -> FullAdderSpec:
-    """Reference behaviour: sum = 3-input XOR, carry = 3-input majority."""
-    sum_bits = []
-    cout_bits = []
-    for idx in range(8):
-        a, b, cin = (idx >> 2) & 1, (idx >> 1) & 1, idx & 1
-        sum_bits.append(a ^ b ^ cin)
-        cout_bits.append(1 if a + b + cin >= 2 else 0)
-    return FullAdderSpec(EXACT_NAME, tuple(sum_bits), tuple(cout_bits))
+    """Reference behaviour (sum = 3-input XOR, carry = majority), from the bit strings."""
+    return FullAdderSpec(EXACT_NAME,
+                         _parse_bits(EXACT_NAME, "sum_bits", EXACT_SUM_BITS),
+                         _parse_bits(EXACT_NAME, "cout_bits", EXACT_COUT_BITS))
 
 
 @dataclass(frozen=True)
@@ -130,25 +120,19 @@ class AdderLibrary:
                 f"unknown adder type {name!r}; library has {sorted(self._entries)}"
             ) from None
 
-    def names(self) -> list[str]:
-        return list(self._entries)
-
     def __contains__(self, name: str) -> bool:
         return name in self._entries
 
     def __iter__(self):
         return iter(self._entries.values())
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 def load_library(document: str) -> AdderLibrary:
     """Parse a JSON adder-library document.
 
     The document is a top-level list of objects with fields ``name`` (non-
-    empty, at most MAX_NAME_BYTES bytes in UTF-8, without '/', '\\' or
-    control characters), ``sum_bits`` and ``cout_bits`` (8-character
+    empty, at most MAX_NAME_BYTES bytes in UTF-8, without '/', '\\', control
+    characters or surrogates), ``sum_bits`` and ``cout_bits`` (8-character
     '0'/'1' strings, position i = truth-table index i).
     """
     try:
@@ -165,12 +149,12 @@ def load_library(document: str) -> AdderLibrary:
         name = entry.get("name")
         if not isinstance(name, str) or not name:
             raise AdderFormatError(f"entry #{pos}: missing or empty name")
-        # names become parts of output file names and SVG text
-        if any(ch in "/\\" or unicodedata.category(ch) == "Cc" for ch in name):
+        # names become parts of output file names, SVG text and printed lines
+        if any(ch in "/\\" or unicodedata.category(ch) in ("Cc", "Cs") for ch in name):
             raise AdderFormatError(
-                f"entry #{pos}: name {name!r} contains a path separator or a "
-                "control character")
-        size = len(name.encode("utf-8", "surrogatepass"))
+                f"entry #{pos}: name {name!r} contains a path separator, a "
+                "control character or a surrogate")
+        size = len(name.encode("utf-8"))
         if size > MAX_NAME_BYTES:
             raise AdderFormatError(
                 f"entry #{pos}: name is {size} bytes in UTF-8; at most "
@@ -194,12 +178,3 @@ def load_library_file(path) -> AdderLibrary:
         reason = exc.strerror if isinstance(exc, OSError) else exc
         raise AdderFormatError(f"cannot read library file {path}: {reason}") from None
     return load_library(document)
-
-
-def dump_library(library: AdderLibrary) -> str:
-    """Serialize in canonical form: load_library(dump_library(lib)) round-trips."""
-    entries = [
-        {"name": s.name, "sum_bits": s.sum_string(), "cout_bits": s.cout_string()}
-        for s in library
-    ]
-    return json.dumps(entries, indent=2) + "\n"

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .designspace import TableRow
+if TYPE_CHECKING:   # designspace loads numpy; the annotations need only the name
+    from .designspace import TableRow
 
 # Gate tolerances: ER absolute; MED/NED/MSE relative; PSNR absolute dB.
 ER_TOL = 0.01

@@ -85,20 +85,26 @@ def ordinal_list(text: str) -> set[int]:
 
 
 def parse_degree(text: str, width: int) -> tuple[str, int]:
-    """Accept D1..D4 names or a plain integer bit count."""
-    from .designspace import DEGREE_BITS
+    """Accept D1..D4 names or a plain integer bit count.
+
+    The label is the D-name at the library width, else d<bits>, so a name
+    and its bit count write the same files at every width.
+    """
+    from .designspace import DEGREE_BITS, LIBRARY_WIDTH
     name = text.upper()
     if name in DEGREE_BITS:
-        return name, DEGREE_BITS[name]
-    try:
-        bits = int(text)
-    except ValueError:
-        raise ValueError(f"degree must be D1..D4 or an integer, got {text!r}") from None
-    if not 0 <= bits <= 2 * width:
-        raise ValueError(f"degree {bits} out of range for width {width}")
-    for dname, dbits in DEGREE_BITS.items():
-        if dbits == bits and width == 8:
-            return dname, bits
+        bits = DEGREE_BITS[name]
+    else:
+        try:
+            bits = int(text)
+        except ValueError:
+            raise ValueError(f"degree must be D1..D4 or an integer, got {text!r}") from None
+        if not 0 <= bits <= 2 * width:
+            raise ValueError(f"degree {bits} out of range for width {width}")
+    if width == LIBRARY_WIDTH:
+        for dname, dbits in DEGREE_BITS.items():
+            if dbits == bits:
+                return dname, bits
     return f"d{bits}", bits
 
 

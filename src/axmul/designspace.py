@@ -58,7 +58,6 @@ def enumerate_library(library: AdderLibrary,
 @dataclass(frozen=True)
 class TableRow:
     design: DesignId
-    config: MultiplierConfig
     report: MetricReport
     clusters: ClusterReport
 
@@ -92,8 +91,8 @@ def library_metrics_table(entries: list[tuple[DesignId, MultiplierConfig]],
             results = list(pool.map(analyze_design, *jobs))
     else:
         results = list(map(analyze_design, *jobs))
-    return [TableRow(did, cfg, report, clusters)
-            for (did, cfg), (report, clusters) in zip(entries, results)]
+    return [TableRow(did, report, clusters)
+            for (did, _), (report, clusters) in zip(entries, results)]
 
 
 def table_csv(rows: list[TableRow]) -> str:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from axmul.adders import (AdderFormatError, FullAdderSpec,
-                          UnknownAdderError, dump_library, error_profile,
+                          UnknownAdderError, error_profile,
                           exact_full_adder, load_library)
 
 CANONICAL_DOC = json.dumps(
@@ -49,7 +49,7 @@ def test_spec_validation():
 
 def test_load_canonical_exact_only():
     lib = load_library(CANONICAL_DOC)
-    assert len(lib) == 1
+    assert list(lib) == [exact_full_adder()]
     assert lib.get("exact") == exact_full_adder()
 
 
@@ -57,7 +57,7 @@ def test_load_injects_exact():
     doc = json.dumps([{"name": "ZERO", "sum_bits": "00000000",
                        "cout_bits": "00000000"}])
     lib = load_library(doc)
-    assert lib.names() == ["ZERO", "exact"]
+    assert [spec.name for spec in lib] == ["ZERO", "exact"]
     assert lib.get("exact") == exact_full_adder()
 
 
@@ -102,11 +102,6 @@ def test_load_rejects_non_json():
         load_library("not json at all {")
     with pytest.raises(AdderFormatError):
         load_library(json.dumps({"name": "A"}))
-
-
-def test_round_trip_is_byte_identical(small_library):
-    doc = dump_library(small_library)
-    assert dump_library(load_library(doc)) == doc
 
 
 def test_unknown_name_resolution(small_library):

@@ -13,9 +13,7 @@ import pytest
 import axmul.clustering
 import axmul.metrics
 from axmul.cli import build_parser, default_library_path, main, parse_degree
-from axmul.adders import dump_library, AdderLibrary
 from axmul.designspace import AMA_TYPES
-from conftest import random_adder
 
 CANONICAL = ('[\n  {\n    "name": "exact",\n    "sum_bits": "01101001",\n'
              '    "cout_bits": "00010111"\n  }\n]\n')
@@ -39,9 +37,13 @@ def zero_lib_file(tmp_path):
 @pytest.fixture
 def fake_ama_file(tmp_path):
     rng = random.Random(42)
-    lib = AdderLibrary([random_adder(t, rng) for t in AMA_TYPES])
+
+    def bits():
+        return "".join(str(rng.randint(0, 1)) for _ in range(8))
+
     path = tmp_path / "ama.json"
-    path.write_text(dump_library(lib))
+    path.write_text(json.dumps(
+        [{"name": t, "sum_bits": bits(), "cout_bits": bits()} for t in AMA_TYPES]))
     return str(path)
 
 
@@ -51,10 +53,25 @@ def test_parse_degree():
     assert parse_degree("16", 8) == ("D4", 16)
     assert parse_degree("5", 8) == ("d5", 5)
     assert parse_degree("3", 4) == ("d3", 3)
+    assert parse_degree("D1", 6) == ("d7", 7)
     with pytest.raises(ValueError):
         parse_degree("D9", 8)
     with pytest.raises(ValueError):
         parse_degree("17", 8)
+
+
+def test_degree_name_and_bit_count_write_the_same_files(zero_lib_file, tmp_path):
+    outputs = []
+    for degree in ("D1", "7"):
+        out = tmp_path / degree
+        for command in ("sweep", "clusters", "histogram"):
+            assert main([command, "--library", zero_lib_file, "--width", "6",
+                         "--cluster-size", "4", "--type", "ZERO", "--degree", degree,
+                         "--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outputs[0] == outputs[1]
+    assert "sweep_ZERO_d7.json" in outputs[0]
+    assert len(outputs[0]) == 9
 
 
 def test_validate_exact(exact_lib_file, capsys):
@@ -105,8 +122,10 @@ def test_library_that_cannot_be_read_is_input_error(tmp_path, capsys, command):
 
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
-# the benchmark's launch form, reporting whether the command loaded numpy
-LAUNCH = ("import sys; from axmul.cli import main; code = main(sys.argv[1:]); "
+# the benchmark's launch form, after importing the calibration gate its runner
+# also imports, reporting whether either loaded numpy
+LAUNCH = ("import sys, axmul.calibration; from axmul.cli import main; "
+          "code = main(sys.argv[1:]); "
           "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)")
 
 
@@ -328,7 +347,7 @@ def test_clusters_exact(exact_lib_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", ["sub/dir", "../esc", "back\\slash", "tab\tin",
-                                  "bell\x07", "del\x7f"])
+                                  "bell\x07", "del\x7f", "a\ud800b"])
 def test_adder_names_that_break_outputs_are_format_errors(tmp_path, capsys, name,
                                                           eval_pair_counts):
     library = tmp_path / "lib.json"
@@ -339,7 +358,8 @@ def test_adder_names_that_break_outputs_are_format_errors(tmp_path, capsys, name
     assert main(["clusters", "--library", str(library), "--width", "4",
                  "--cluster-size", "4", "--type", name, "--degree", "0",
                  "--out", str(out)]) == 2
-    assert "path separator or a control character" in capsys.readouterr().err
+    assert capsys.readouterr().err.count(
+        "path separator, a control character or a surrogate") == 2
     assert eval_pair_counts == []
     assert not out.exists()
 

@@ -47,6 +47,7 @@ def test_enumerate_complete_library():
     assert all(cfg.width == 8 for _, cfg in entries)
     degrees = [cfg.degree for _, cfg in entries[:4]]
     assert degrees == [7, 8, 9, 16]
+    assert all(cfg.degree == DEGREE_BITS[did.degree_knob] for did, cfg in entries)
 
 
 def test_enumerate_builds_the_given_layout():
@@ -245,8 +246,6 @@ def test_table_rows_deterministic_and_ordered():
     assert [r.design.ordinal for r in rows1] == list(range(1, 21))
     assert table_csv(rows1) == table_csv(rows2)
     assert all(r.report.ned_clustered_avg is not None for r in rows1)
-    for row in rows1:
-        assert row.config.degree == DEGREE_BITS[row.design.degree_knob]
 
 
 def test_table_pool_has_at_most_one_process_per_design(monkeypatch):

@@ -68,7 +68,7 @@ def test_n2_exhaustive_exactness():
 
 
 def test_degree_zero_is_exact_for_any_adder(small_library):
-    for name in small_library.names():
+    for name in (spec.name for spec in small_library):
         grid = build(4, name, 0, "carry_save", library=small_library)
         for x in range(16):
             for y in range(16):
@@ -219,7 +219,7 @@ def test_determinism_same_config():
 def test_vectorized_matches_scalar_n4(small_library):
     side = 16
     xs, ys = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
-    for name in small_library.names():
+    for name in (spec.name for spec in small_library):
         for degree in (0, 3, 8):
             grid = build(4, name, degree, "carry_save", library=small_library)
             batch = eval_multiply_many(grid, xs.ravel(), ys.ravel())
@@ -272,7 +272,7 @@ def test_row_ripple_half_adder_positions():
 
 
 def test_row_ripple_degree_zero_any_adder(small_library):
-    for name in small_library.names():
+    for name in (spec.name for spec in small_library):
         grid = build(4, name, 0, library=small_library,
                      architecture="row_ripple")
         for x in range(16):
