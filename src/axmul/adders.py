@@ -69,24 +69,11 @@ def exact_full_adder() -> FullAdderSpec:
                          _parse_bits(EXACT_NAME, "cout_bits", EXACT_COUT_BITS))
 
 
-@dataclass(frozen=True)
-class AdderErrorProfile:
-    """Rows of a spec's truth table that disagree with the exact adder."""
-
-    name: str
-    sum_error_rows: frozenset[int]
-    cout_error_rows: frozenset[int]
-
-    @property
-    def row_error_count(self) -> int:
-        return len(self.sum_error_rows) + len(self.cout_error_rows)
-
-
-def error_profile(spec: FullAdderSpec) -> AdderErrorProfile:
+def error_profile(spec: FullAdderSpec) -> tuple[list[int], list[int]]:
+    """The sum-table and carry-table rows where `spec` disagrees with the exact adder."""
     exact = exact_full_adder()
-    sum_rows = frozenset(i for i in range(8) if spec.sum_bits[i] != exact.sum_bits[i])
-    cout_rows = frozenset(i for i in range(8) if spec.cout_bits[i] != exact.cout_bits[i])
-    return AdderErrorProfile(spec.name, sum_rows, cout_rows)
+    return ([i for i in range(8) if spec.sum_bits[i] != exact.sum_bits[i]],
+            [i for i in range(8) if spec.cout_bits[i] != exact.cout_bits[i]])
 
 
 class AdderLibrary:
@@ -99,18 +86,14 @@ class AdderLibrary:
     def __init__(self, specs: Iterable[FullAdderSpec] = ()):
         self._entries: dict[str, FullAdderSpec] = {}
         for spec in specs:
-            self.add(spec)
-        if EXACT_NAME not in self._entries:
-            self.add(exact_full_adder())
-
-    def add(self, spec: FullAdderSpec) -> None:
-        if spec.name in self._entries:
-            raise AdderFormatError(f"duplicate adder name {spec.name!r}")
-        if spec.name == EXACT_NAME and spec != exact_full_adder():
-            raise AdderFormatError(
-                f"entry {EXACT_NAME!r}: tables do not match the exact full adder "
-                f"(expected sum_bits {EXACT_SUM_BITS!r}, cout_bits {EXACT_COUT_BITS!r})")
-        self._entries[spec.name] = spec
+            if spec.name in self._entries:
+                raise AdderFormatError(f"duplicate adder name {spec.name!r}")
+            if spec.name == EXACT_NAME and spec != exact_full_adder():
+                raise AdderFormatError(
+                    f"entry {EXACT_NAME!r}: tables do not match the exact full adder "
+                    f"(expected sum_bits {EXACT_SUM_BITS!r}, cout_bits {EXACT_COUT_BITS!r})")
+            self._entries[spec.name] = spec
+        self._entries.setdefault(EXACT_NAME, exact_full_adder())
 
     def get(self, name: str) -> FullAdderSpec:
         try:

@@ -13,7 +13,6 @@ values depend on an unspecified handling of zero exact products.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:   # designspace loads numpy; the annotations need only the name
@@ -63,61 +62,44 @@ SPOT_CHECKS = {
 }
 
 
-@dataclass(frozen=True)
-class MetricDeviation:
-    metric: str
-    computed: float
-    target: float
-    deviation: float      # absolute for ER/PSNR, relative otherwise
-    tolerance: float
-    within: bool
-
-
-def _gate(metric, computed, target, tol, relative):
-    dev = abs(computed - target) / (abs(target) if relative else 1.0)
-    return MetricDeviation(metric, computed, target, dev, tol, dev <= tol)
-
-
-def design_deviations(row: TableRow) -> list[MetricDeviation]:
-    target = PUBLISHED_TABLE[(row.design.type_knob, row.design.degree_knob)]
-    er_t, med_t, ned_t, mred_t, mse_t, psnr_t = target
-    rep = row.report
-    gates = [
-        _gate("er", rep.er, er_t, ER_TOL, relative=False),
-        _gate("med", rep.med, med_t, MED_RTOL, relative=True),
-        _gate("ned", rep.ned_clustered_avg, ned_t, NED_RTOL, relative=True),
-        _gate("mse", rep.mse, mse_t, MSE_RTOL, relative=True),
-        _gate("psnr", rep.psnr_clustered_avg, psnr_t, PSNR_TOL_DB, relative=False),
-    ]
-    # reference only, never gated
-    mred = _gate("mred", rep.mred, mred_t, float("inf"), relative=True)
-    return gates + [mred]
+# The published columns, in PUBLISHED_TABLE order.
+PUBLISHED_COLUMNS = ("er", "med", "ned", "mred", "mse", "psnr")
+# Per metric: the report attribute compared, the tolerance, and whether the
+# deviation is relative to the target.  MRED is reported but never gated.
+GATES = (
+    ("er", "er", ER_TOL, False),
+    ("med", "med", MED_RTOL, True),
+    ("ned", "ned_clustered_avg", NED_RTOL, True),
+    ("mse", "mse", MSE_RTOL, True),
+    ("psnr", "psnr_clustered_avg", PSNR_TOL_DB, False),
+    ("mred", "mred", float("inf"), True),
+)
 
 
 def compare_to_published(rows: list[TableRow]) -> dict:
     """Deviation report over the full table; 'all_within' covers gated metrics."""
     designs = []
-    all_within = True
     for row in rows:
-        devs = design_deviations(row)
-        gated = [d for d in devs if d.metric != "mred"]
-        ok = all(d.within for d in gated)
-        all_within = all_within and ok
+        targets = dict(zip(PUBLISHED_COLUMNS,
+                           PUBLISHED_TABLE[(row.design.type_knob, row.design.degree_knob)]))
+        metrics = []
+        for metric, attr, tol, relative in GATES:
+            computed, target = getattr(row.report, attr), targets[metric]
+            dev = abs(computed - target) / (abs(target) if relative else 1.0)
+            metrics.append({"metric": metric, "computed": computed, "target": target,
+                            "deviation": dev, "tolerance": tol, "within": dev <= tol,
+                            "gated": metric != "mred"})
         designs.append({
             "design": row.design.label,
             "type": row.design.type_knob,
             "degree": row.design.degree_knob,
-            "within_tolerance": ok,
-            "metrics": [
-                {"metric": d.metric, "computed": d.computed, "target": d.target,
-                 "deviation": d.deviation, "tolerance": d.tolerance,
-                 "within": d.within, "gated": d.metric != "mred"}
-                for d in devs
-            ],
+            "within_tolerance": all(m["within"] for m in metrics if m["gated"]),
+            "metrics": metrics,
         })
+    within = sum(d["within_tolerance"] for d in designs)
     return {
-        "all_within": all_within,
-        "designs_within": sum(1 for d in designs if d["within_tolerance"]),
+        "all_within": within == len(designs),
+        "designs_within": within,
         "design_count": len(designs),
         "designs": designs,
     }

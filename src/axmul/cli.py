@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import traceback
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -148,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     t = subs.add_parser("table", help="accuracy table over the 20-design library")
     _add_common(t)
     t.add_argument("--type", default=None, help="filter rows by adder type")
-    t.add_argument("--degree", default=None, help="filter rows by degree")
+    t.add_argument("--degree", default=None,
+                   help="filter rows by degree: D1..D4 or bit count")
     t.add_argument("--ordinals", type=ordinal_list, default=None,
                    help="comma list of design ordinals")
     t.set_defaults(func=cmd_table)
@@ -199,12 +201,10 @@ def _library_entries(args) -> tuple[AdderLibrary, list]:
 def cmd_validate(args) -> int:
     library = load_library_file(args.library_path)
     for spec in library:
-        profile = error_profile(spec)
-        detail = ""
-        if profile.row_error_count:
-            detail = (f" (sum rows {sorted(profile.sum_error_rows)}, "
-                      f"cout rows {sorted(profile.cout_error_rows)})")
-        print(f"{spec.name}: {profile.row_error_count} erroneous rows{detail}")
+        sum_rows, cout_rows = error_profile(spec)
+        count = len(sum_rows) + len(cout_rows)
+        detail = f" (sum rows {sum_rows}, cout rows {cout_rows})" if count else ""
+        print(f"{spec.name}: {count} erroneous rows{detail}")
     return 0
 
 
@@ -216,7 +216,7 @@ def cmd_sweep(args) -> int:
     report, _ = analyze_design(config, library, args.cluster_size)
 
     if "json" in args.format:
-        _write(args.out, f"sweep_{name}.json", _json_text(report.to_dict()))
+        _write(args.out, f"sweep_{name}.json", _json_text(asdict(report)))
     if "csv" in args.format:
         csv_text = (report_csv_header() + "\n" +
                     report_csv_row(report, (name, args.type, str(config.degree))) + "\n")
@@ -234,7 +234,8 @@ def cmd_table(args) -> int:
     if args.type:
         entries = [e for e in entries if e[0].type_knob == args.type]
     if args.degree:
-        entries = [e for e in entries if e[0].degree_knob == args.degree.upper()]
+        _, bits = parse_degree(args.degree, args.width)
+        entries = [e for e in entries if e[0].degree_bits == bits]
     if args.ordinals:
         entries = [e for e in entries if e[0].ordinal in args.ordinals]
     if not entries:
@@ -246,7 +247,7 @@ def cmd_table(args) -> int:
     if "json" in args.format:
         doc = [{"design": r.design.label, "type": r.design.type_knob,
                 "degree": r.design.degree_knob, "ordinal": r.design.ordinal,
-                **r.report.to_dict()} for r in rows]
+                **asdict(r.report)} for r in rows]
         _write(args.out, "library_table.json", _json_text(doc))
     for r in rows:
         print(f"{r.design.label} ({r.design.type_knob}/{r.design.degree_knob}): "
@@ -317,26 +318,24 @@ def cmd_histogram(args) -> int:
 
 
 def cmd_select(args) -> int:
-    from .designspace import (SelectionPolicy, library_metrics_table,
-                              select_per_cluster, selection_csv, selection_summary)
+    from .designspace import (library_metrics_table, select_per_cluster, selection_csv,
+                              selection_summary)
     from .metrics import fmt6
     library, entries = _library_entries(args)
     rows = library_metrics_table(entries, library, args.cluster_size, args.workers)
-    policy = SelectionPolicy(args.metric,
-                             args.ned_threshold if args.metric == "ned"
-                             else args.psnr_threshold)
-    ordinals = select_per_cluster([(r.design, r.clusters) for r in rows], policy)
+    threshold = args.ned_threshold if args.metric == "ned" else args.psnr_threshold
+    ordinals = select_per_cluster([(r.design, r.clusters) for r in rows],
+                                  args.metric, threshold)
     summary = selection_summary(ordinals)
 
     if "csv" in args.format:
         _write(args.out, "selection.csv", selection_csv(ordinals))
     if "json" in args.format:
-        doc = {**summary, "policy": {"metric": policy.quality_metric,
-                                     "threshold": policy.threshold}}
+        doc = {**summary, "policy": {"metric": args.metric, "threshold": threshold}}
         _write(args.out, "selection.json", _json_text(doc))
     top = sorted(summary["usage_counts"].items(), key=lambda kv: (-kv[1], kv[0]))[:4]
     shown = " ".join(f"{k}:{v}" for k, v in top)
-    print(f"selection ({policy.quality_metric}<= {policy.threshold:g}): "
+    print(f"selection ({args.metric}<= {threshold:g}): "
           f"exact_fraction={fmt6(summary['exact_fraction'])} top=[{shown}]")
     return 0
 

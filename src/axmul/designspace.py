@@ -6,7 +6,7 @@ Design1, AMA1/D2 is Design2, ..., AMA5/D4 is Design20.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 
 import numpy as np
@@ -68,8 +68,8 @@ def analyze_design(config: MultiplierConfig, library: AdderLibrary,
     spec = ClusterSpec(config.width, cluster_size)   # refuses oversized grids
     clusters = cluster_sweep(build_multiplier(config, library), spec=spec)
     pmax = ((1 << config.width) - 1) ** 2
-    report = finalize(clusters.totals, pmax).with_cluster_averages(
-        clusters.ned_avg, clusters.psnr_avg)
+    report = replace(finalize(clusters.totals, pmax), ned_clustered_avg=clusters.ned_avg,
+                     psnr_clustered_avg=clusters.psnr_avg)
     return report, clusters
 
 
@@ -104,31 +104,18 @@ def table_csv(rows: list[TableRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class SelectionPolicy:
-    quality_metric: str          # "ned" or "psnr"
-    threshold: float
-
-    def __post_init__(self):
-        if self.quality_metric not in ("ned", "psnr"):
-            raise ValueError(f"unknown quality metric {self.quality_metric!r}")
-
-    def admits(self, report: ClusterReport) -> np.ndarray:
-        """Mask over the report's blocks: True where a block meets the policy."""
-        if self.quality_metric == "ned":
-            return report.cells["ned"] <= self.threshold
-        return report.cells["psnr"] >= self.threshold
-
-
 def select_per_cluster(reports: list[tuple[DesignId, ClusterReport]],
-                       policy: SelectionPolicy) -> np.ndarray:
-    """Per block, the ordinal of the highest-degree design whose cell meets the policy.
+                       metric: str, threshold: float) -> np.ndarray:
+    """Per block, the ordinal of the highest-degree design whose cell meets the threshold.
 
-    Returns the (grid_side, grid_side) int64 grid of ordinals, indexed
-    [ia, ib]; 0 marks a block where no design qualifies (exact fallback),
-    so design ordinals must be >= 1.  Ties go to the lowest cluster NED,
-    then the lowest ordinal.
+    A cell meets it when its `metric` is "ned" and ned <= threshold, or is
+    "psnr" and psnr >= threshold.  Returns the (grid_side, grid_side)
+    int64 grid of ordinals, indexed [ia, ib]; 0 marks a block where no
+    design qualifies (exact fallback), so design ordinals must be >= 1.
+    Ties go to the lowest cluster NED, then the lowest ordinal.
     """
+    if metric not in ("ned", "psnr"):
+        raise ValueError(f"unknown quality metric {metric!r}")
     if not reports:
         raise ValueError("no design reports to select from")
     sides = {rep.spec.grid_side for _, rep in reports}
@@ -143,7 +130,8 @@ def select_per_cluster(reports: list[tuple[DesignId, ClusterReport]],
     best_ordinal = np.zeros(side * side, dtype=np.int64)
     for did, rep in reports:
         ned = rep.cells["ned"]
-        wins = policy.admits(rep) & (
+        admitted = ned <= threshold if metric == "ned" else rep.cells["psnr"] >= threshold
+        wins = admitted & (
             (did.degree_bits > best_degree)
             | ((did.degree_bits == best_degree)
                & ((ned < best_ned)

@@ -22,7 +22,7 @@ histogram also keeps 4^n uint32 counts, 64 MB, and peaks at about
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,23 +116,6 @@ class MetricReport:
     ned_clustered_avg: float | None = None
     psnr_clustered_avg: float | None = None
 
-    def with_cluster_averages(self, ned_avg: float, psnr_avg: float) -> "MetricReport":
-        return replace(self, ned_clustered_avg=ned_avg, psnr_clustered_avg=psnr_avg)
-
-    def to_dict(self) -> dict:
-        return {
-            "er": self.er,
-            "med": self.med,
-            "ned_global": self.ned_global,
-            "ned_clustered_avg": self.ned_clustered_avg,
-            "mred": self.mred,
-            "mse": self.mse,
-            "psnr_global": self.psnr_global,
-            "psnr_clustered_avg": self.psnr_clustered_avg,
-            "max_ed": self.max_ed,
-            "count": self.count,
-        }
-
 
 def finalize(acc: MetricAccumulator, pmax: int) -> MetricReport:
     if acc.count == 0:
@@ -195,34 +178,30 @@ def exhaustive_sweep(grid: CellGrid) -> MetricAccumulator:
     return acc
 
 
-def report_csv_header() -> str:
-    return ",".join(("design", "type", "degree", "er", "med", "ned", "mred", "mse",
-                     "psnr", "ned_global", "psnr_global", "max_ed", "count"))
-
-
-def report_csv_row(report: MetricReport, design: tuple[str, str, str]) -> str:
-    """One CSV row in accuracy-table column order; floats at 6 significant digits.
-
-    `design` fills the header's design, type and degree columns.
-    """
-    fields = (
-        fmt6(report.er),
-        fmt6(report.med),
-        fmt6(report.ned_clustered_avg),
-        fmt6(report.mred),
-        fmt6(report.mse),
-        fmt6(report.psnr_clustered_avg),
-        fmt6(report.ned_global),
-        fmt6(report.psnr_global),
-        str(report.max_ed),
-        str(report.count),
-    )
-    return ",".join(design + fields)
-
-
 def fmt6(value) -> str:
     if value is None:
         return ""
     if value == math.inf:
         return "inf"
     return f"{value:.6g}"
+
+
+# Accuracy-table CSV columns after design, type and degree:
+# (header, MetricReport attribute, formatter); floats at 6 significant digits.
+REPORT_CSV_COLUMNS = (
+    ("er", "er", fmt6), ("med", "med", fmt6), ("ned", "ned_clustered_avg", fmt6),
+    ("mred", "mred", fmt6), ("mse", "mse", fmt6), ("psnr", "psnr_clustered_avg", fmt6),
+    ("ned_global", "ned_global", fmt6), ("psnr_global", "psnr_global", fmt6),
+    ("max_ed", "max_ed", str), ("count", "count", str),
+)
+
+
+def report_csv_header() -> str:
+    return ",".join(("design", "type", "degree",
+                     *(header for header, _, _ in REPORT_CSV_COLUMNS)))
+
+
+def report_csv_row(report: MetricReport, design: tuple[str, str, str]) -> str:
+    """One CSV row; `design` fills the header's design, type and degree columns."""
+    return ",".join((*design, *(fmt(getattr(report, attr))
+                                for _, attr, fmt in REPORT_CSV_COLUMNS)))

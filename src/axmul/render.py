@@ -28,18 +28,24 @@ def _header(width, height, title):
 
 
 def histogram_svg(hist: EdHistogram, title: str = "error distance histogram") -> str:
-    """Log-scaled bar chart of the ED tallies."""
+    """Log-scaled bar chart of the ED tallies, at most one bar per pixel column."""
     width = _BAR_AREA_W + 2 * _MARGIN
     height = _BAR_AREA_H + 2 * _MARGIN
     parts = _header(width, height, title)
 
     counts = [c for _, c in hist.bins]
+    merged = ""
+    if len(counts) > _BAR_AREA_W:   # one bar per pixel column; the CSV keeps every bin
+        bars = [0] * _BAR_AREA_W
+        for k, count in enumerate(counts):
+            bars[k * _BAR_AREA_W // len(counts)] += count
+        merged = f", {len(counts)} bins summed into {_BAR_AREA_W} bars"
+        counts = bars
     peak = max(counts) if counts else 1
     log_peak = math.log10(peak + 1)
-    nbins = len(hist.bins)
-    bar_w = _BAR_AREA_W / max(nbins, 1)
+    bar_w = _BAR_AREA_W / max(len(counts), 1)
 
-    for k, (lower, count) in enumerate(hist.bins):
+    for k, count in enumerate(counts):
         if count == 0:
             continue
         h = _BAR_AREA_H * math.log10(count + 1) / log_peak if log_peak else 0.0
@@ -58,7 +64,7 @@ def histogram_svg(hist: EdHistogram, title: str = "error distance histogram") ->
                  f'{hist.bins[-1][0] + hist.bin_width if hist.bins else 0}</text>')
     parts.append(f'<text x="{_MARGIN}" y="{axis_y + 30}" font-family="sans-serif" '
                  f'font-size="10">bin width {hist.bin_width}, max ED {hist.max_ed}, '
-                 f'mean ED {hist.mean_ed:.6g}, log-scaled counts</text>')
+                 f'mean ED {hist.mean_ed:.6g}, log-scaled counts{merged}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

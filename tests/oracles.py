@@ -151,7 +151,7 @@ def oracle_blocks(cluster_size: int, sums, squares) -> list[dict]:
     return out
 
 
-def oracle_select(reports, policy) -> list[int]:
+def oracle_select(reports, metric, threshold) -> list[int]:
     """Scalar reference of `designspace.select_per_cluster`: per block in
     row-major order, the ordinal of the admitted design with the least
     (-degree, ned, ordinal), else 0."""
@@ -160,10 +160,10 @@ def oracle_select(reports, policy) -> list[int]:
         best = None
         for did, rep in reports:
             ned = float(rep.cells["ned"][ci])
-            if policy.quality_metric == "ned":
-                admitted = ned <= policy.threshold
+            if metric == "ned":
+                admitted = ned <= threshold
             else:
-                admitted = float(rep.cells["psnr"][ci]) >= policy.threshold
+                admitted = float(rep.cells["psnr"][ci]) >= threshold
             if not admitted:
                 continue
             key = (-did.degree_bits, ned, did.ordinal)

@@ -306,6 +306,9 @@ def test_filtered_table_analyzes_only_matching_designs(fake_ama_file, tmp_path,
     (["--ordinals", "1,99"], "ordinals run 1..20, got [99]"),
     (["--ordinals", "0,21"], "ordinals run 1..20, got [0, 21]"),
     (["--ordinals", ""], "--ordinals"),   # an empty filter used to select every row
+    (["--degree", "5"], "matched no rows"),
+    (["--degree", "D5"], "degree must be D1..D4 or an integer, got 'D5'"),
+    (["--degree", "17"], "degree 17 out of range for width 8"),
 ])
 def test_table_filter_matching_nothing_is_usage_error(fake_ama_file, tmp_path, capsys,
                                                       design_filter, eval_pair_counts):
@@ -316,6 +319,14 @@ def test_table_filter_matching_nothing_is_usage_error(fake_ama_file, tmp_path, c
     assert message in capsys.readouterr().err
     assert eval_pair_counts == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("degree", ["7", "d1", "D1"])
+def test_table_degree_is_a_name_or_a_bit_count(fake_ama_file, tmp_path, degree):
+    assert main(["table", "--library", fake_ama_file, "--degree", degree,
+                 "--format", "json", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "library_table.json").read_text())
+    assert [d["design"] for d in doc] == [f"Design{k}" for k in (1, 5, 9, 13, 17)]
 
 
 def test_table_determinism_and_workers(fake_ama_file, tmp_path):
@@ -451,6 +462,20 @@ def test_histogram_bin_width_past_int64_gives_one_bin(tmp_path):
     assert csvs[2 ** 64] == csvs[2 ** 62]
 
 
+def test_histogram_svg_draws_at_most_one_bar_per_pixel_column(tmp_path):
+    assert main(["histogram", "--type", "AMA2", "--degree", "D4", "--bin-width", "1",
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "histogram_AMA2_D4.csv").read_text().strip().split("\n")
+    assert len(lines) == 1 + 32765   # the CSV keeps every bin
+    svg = (tmp_path / "histogram_AMA2_D4.svg").read_text()
+    bars = xml.dom.minidom.parseString(svg).getElementsByTagName("rect")[1:]
+    xs = [float(bar.getAttribute("x")) for bar in bars]
+    assert 0 < len(xs) <= 640
+    assert xs == sorted(set(xs))
+    assert all(46 <= x < 46 + 640 for x in xs)
+    assert "32765 bins summed into 640 bars" in svg
+
+
 def test_select_threshold_extremes(fake_ama_file, tmp_path):
     out = tmp_path / "s0"
     assert main(["select", "--library", fake_ama_file, "--ned-threshold", "0",
@@ -541,6 +566,10 @@ GOLDEN_COMMON = ["--width", "8", "--architecture", "row_ripple"]
        ["clusters", "--cluster-size", "2", "--type", t, "--degree", d,
         "--format", "csv,json,svg"])
       for t, d in (("AMA1", "D1"), ("AMA1", "D4"), ("AMA3", "D2"), ("AMA5", "D3"))],
+    *[(workload, "control",
+       ["sweep", "--cluster-size", size, "--type", "exact", "--degree", "0",
+        "--workers", "1"])
+      for workload, size in (("paper-table-w8", "16"), ("fine-clusters-w8", "2"))],
 ])
 def test_outputs_match_committed_digests(workload, key, args, tmp_path, capsys):
     """Shipped-library outputs stay byte-identical to the benchmark's digests."""
@@ -576,6 +605,40 @@ def test_psnr_selection_matches_recorded_digests(cluster_size, tmp_path, capsys)
                for p in tmp_path.iterdir()}
     digests["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digests == PSNR_SELECT_DIGESTS[cluster_size]
+
+
+# sha256 of outputs on the shipped library, recorded before the report
+# serializers were rewritten and before wide histograms merged their bars;
+# the benchmark digests cover no approximate sweep and no histogram
+RECORDED_DIGESTS = {
+    "sweep AMA4 D2": {
+        "sweep_AMA4_D2.csv": "5d942c808aecd576334c23962d46b676ca18dfcb625ac23dfa06bea05d5d505b",
+        "sweep_AMA4_D2.json": "cdc93f0823a8683cdb8a63d104aedd00388b1573a8f2a47f6b1bc4bada06b084",
+        "stdout": "94020be1626db8dd3238febcf732cbf054c414006c23c671b9a2efa06bdc4d99"},
+    "histogram AMA2 D4": {
+        "histogram_AMA2_D4.csv": "cdf212ca6f6e382017cf9cfc21f5b0e3386d232e46577b600b74a146b7360b40",
+        "histogram_AMA2_D4.json": "45f8f203d0f248bf260f2a0b648dbe2bbf85fe77155d354dbb5f532748eb040f",
+        "histogram_AMA2_D4.svg": "1cc5708c433cfd794b5b3e70d3454ecd21c9aa165d6e740ed9855ab3459c7a0c",
+        "stdout": "da691db67c80fe76dfa961e169ac5724c803f60370226a7da4a1bd94e14ecec7"},
+}
+
+
+@pytest.mark.parametrize("key", sorted(RECORDED_DIGESTS))
+def test_outputs_match_recorded_digests(key, tmp_path, capsys):
+    command, adder, degree = key.split()
+    assert main([command, "--type", adder, "--degree", degree, "--out", str(tmp_path)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    digests["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == RECORDED_DIGESTS[key]
+
+
+def test_validate_matches_the_bench_oracle(monkeypatch, capsys):
+    """The benchmark counts any other `validate` report as a failed operation."""
+    workloads = load_bench_module("workloads", monkeypatch)
+    assert main(["validate"]) == 0
+    library = Path(default_library_path()).read_text(encoding="utf-8")
+    assert capsys.readouterr().out.encode("utf-8") == workloads.validate_stdout(library)
 
 
 def load_bench_module(name, monkeypatch):

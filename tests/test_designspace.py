@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import inspect
 import json
 import math
@@ -9,10 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from axmul.adders import AdderLibrary, load_library_file
-from axmul.cli import default_library_path, main
+from axmul.cli import DESIGN_ORDINALS, default_library_path, main
 from axmul.clustering import ClusterReport, ClusterSpec, cluster_sweep
 from axmul.designspace import (AMA_TYPES, DEGREE_BITS, DesignId,
-                               SelectionPolicy, analyze_design, design_id,
+                               analyze_design, design_id,
                                enumerate_library, library_metrics_table,
                                select_per_cluster, selection_csv,
                                selection_summary, table_csv)
@@ -75,7 +76,13 @@ def test_cli_defaults_build_the_calibrated_design(tmp_path):
     assert main(["sweep", "--type", "AMA1", "--degree", "D1", "--format", "json",
                  "--out", str(tmp_path)]) == 0
     swept = json.loads((tmp_path / "sweep_AMA1_D1.json").read_text())
-    assert swept == report.to_dict()
+    assert swept == dataclasses.asdict(report)
+
+
+def test_cli_numbers_the_designs_as_the_library_does():
+    """cli keeps its own copy of the numbering so usage errors load no numpy."""
+    entries = enumerate_library(fake_ama_library(), "row_ripple")
+    assert [did.ordinal for did, _ in entries] == list(DESIGN_ORDINALS)
 
 
 def test_enumerate_missing_type():
@@ -104,7 +111,7 @@ def test_select_nothing_qualifies():
     lo, hi = toy_designs()
     reports = [(lo, synth_report([0.2, 0.3, 0.4, 0.5])),
                (hi, synth_report([0.6, 0.7, 0.8, 0.9]))]
-    sel = select_per_cluster(reports, SelectionPolicy("ned", 0.0))
+    sel = select_per_cluster(reports, "ned", 0.0)
     assert sel.tolist() == [[0, 0], [0, 0]]
     assert selection_summary(sel) == {"grid_side": 2, "usage_counts": {"exact": 4},
                                       "exact_fraction": 1.0}
@@ -114,7 +121,7 @@ def test_select_everything_qualifies_prefers_degree():
     lo, hi = toy_designs()
     reports = [(lo, synth_report([0.0, 0.0, 0.0, 0.0])),
                (hi, synth_report([0.9, 0.9, 0.9, 0.9]))]
-    sel = select_per_cluster(reports, SelectionPolicy("ned", math.inf))
+    sel = select_per_cluster(reports, "ned", math.inf)
     assert (sel == hi.ordinal).all()
 
 
@@ -125,7 +132,7 @@ def test_select_tie_breaks():
     reports = [(lo, synth_report([0.0, 0.0, 0.0, 0.0])),
                (hi, synth_report([0.3, 0.1, 0.2, 0.2])),
                (hi2, synth_report([0.1, 0.3, 0.2, 0.2]))]
-    sel = select_per_cluster(reports, SelectionPolicy("ned", 0.5))
+    sel = select_per_cluster(reports, "ned", 0.5)
     assert sel.dtype == np.int64
     assert sel.tolist() == [[3, 2], [2, 2]]   # [ia][ib]
 
@@ -134,7 +141,7 @@ def test_select_psnr_metric():
     lo, hi = toy_designs()
     reports = [(lo, synth_report([0.1] * 4, psnrs=[30, 30, 30, 30])),
                (hi, synth_report([0.1] * 4, psnrs=[30, 20, 30, 20]))]
-    sel = select_per_cluster(reports, SelectionPolicy("psnr", 25.0))
+    sel = select_per_cluster(reports, "psnr", 25.0)
     assert sel.tolist() == [[2, 1], [2, 1]]
 
 
@@ -142,8 +149,8 @@ def test_select_tightening_never_unexacts():
     lo, hi = toy_designs()
     reports = [(lo, synth_report([0.05, 0.2, 0.5, 0.8])),
                (hi, synth_report([0.1, 0.4, 0.6, 0.9]))]
-    loose = select_per_cluster(reports, SelectionPolicy("ned", 0.5))
-    tight = select_per_cluster(reports, SelectionPolicy("ned", 0.1))
+    loose = select_per_cluster(reports, "ned", 0.5)
+    tight = select_per_cluster(reports, "ned", 0.1)
     assert not ((loose == 0) & (tight != 0)).any()
 
 
@@ -152,10 +159,10 @@ def test_select_monotone_rescale_invariance():
     neds_lo = [0.05, 0.2, 0.5, 0.8]
     neds_hi = [0.1, 0.15, 0.6, 0.7]
     reports = [(lo, synth_report(neds_lo)), (hi, synth_report(neds_hi))]
-    sel1 = select_per_cluster(reports, SelectionPolicy("ned", 0.5))
+    sel1 = select_per_cluster(reports, "ned", 0.5)
     squared = [(lo, synth_report([v * v for v in neds_lo])),
                (hi, synth_report([v * v for v in neds_hi]))]
-    sel2 = select_per_cluster(squared, SelectionPolicy("ned", 0.25))
+    sel2 = select_per_cluster(squared, "ned", 0.25)
     assert sel1.tolist() == sel2.tolist()
 
 
@@ -166,9 +173,9 @@ def test_select_mismatched_specs_rejected():
                                          AdderLibrary()),
                         spec=ClusterSpec(4, 4))
     with pytest.raises(ValueError):
-        select_per_cluster([(lo, small), (hi, big)], SelectionPolicy("ned", 1.0))
+        select_per_cluster([(lo, small), (hi, big)], "ned", 1.0)
     with pytest.raises(ValueError):
-        select_per_cluster([], SelectionPolicy("ned", 1.0))
+        select_per_cluster([], "ned", 1.0)
 
 
 def test_select_matches_argmax_oracle_4bit():
@@ -182,7 +189,7 @@ def test_select_matches_argmax_oracle_4bit():
         grid = build_multiplier(MultiplierConfig(4, name, bits, "carry_save"), lib)
         designs.append((did, cluster_sweep(grid, spec=ClusterSpec(4, 4))))
     threshold = 0.05
-    sel = select_per_cluster(designs, SelectionPolicy("ned", threshold))
+    sel = select_per_cluster(designs, "ned", threshold)
 
     for ci in range(16):
         qualifying = [(did, rep.cells["ned"][ci]) for did, rep in designs
@@ -215,16 +222,16 @@ def test_select_matches_per_block_reference(data, metric):
         psnrs = [40.0 * v for v in data.draw(levels, label="psnr")]
         reports.append((did, synth_report(data.draw(levels, label="ned"),
                                           psnrs=psnrs, spec=spec)))
-    policy = SelectionPolicy(metric, data.draw(st.sampled_from((0.0, 0.5, 20.0))))
-    sel = select_per_cluster(reports, policy)
-    assert sel.ravel().tolist() == oracle_select(reports, policy)
+    threshold = data.draw(st.sampled_from((0.0, 0.5, 20.0)))
+    sel = select_per_cluster(reports, metric, threshold)
+    assert sel.ravel().tolist() == oracle_select(reports, metric, threshold)
 
 
 def test_selection_csv_and_summary():
     lo, hi = toy_designs()
     reports = [(lo, synth_report([0.05, 0.9, 0.05, 0.9])),
                (hi, synth_report([0.9, 0.9, 0.9, 0.9]))]
-    sel = select_per_cluster(reports, SelectionPolicy("ned", 0.1))
+    sel = select_per_cluster(reports, "ned", 0.1)
     lines = selection_csv(sel).strip().split("\n")
     assert lines[0] == "ia,ib,design"
     assert lines[1] == "0,0,1"
@@ -235,8 +242,9 @@ def test_selection_csv_and_summary():
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        SelectionPolicy("mred", 1.0)
+    lo, _ = toy_designs()
+    with pytest.raises(ValueError, match="unknown quality metric 'mred'"):
+        select_per_cluster([(lo, synth_report([0.0] * 4))], "mred", 1.0)
 
 
 def test_table_rows_deterministic_and_ordered():
