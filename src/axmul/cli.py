@@ -180,12 +180,14 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _design_config(args, library: AdderLibrary) -> tuple[str, MultiplierConfig]:
+def _design_config(args) -> tuple[AdderLibrary, str, MultiplierConfig]:
+    """The library file, and the output name and config of --type/--degree."""
     from .fabric import MultiplierConfig
+    library = load_library_file(args.library)
     label, bits = parse_degree(args.degree, args.width)
     config = MultiplierConfig(args.width, args.type, bits, args.architecture)
     library.get(args.type)   # fail early with a resolution error
-    return f"{args.type}_{label}", config
+    return library, f"{args.type}_{label}", config
 
 
 def _library_entries(args) -> tuple[AdderLibrary, list]:
@@ -211,8 +213,7 @@ def cmd_validate(args) -> int:
 def cmd_sweep(args) -> int:
     from .designspace import analyze_design
     from .metrics import fmt6, report_csv_header, report_csv_row
-    library = load_library_file(args.library)
-    name, config = _design_config(args, library)
+    library, name, config = _design_config(args)
     report, _ = analyze_design(config, library, args.cluster_size)
 
     if "json" in args.format:
@@ -259,13 +260,14 @@ def cmd_table(args) -> int:
 
 def cmd_clusters(args) -> int:
     from . import render
-    from .clustering import ClusterSpec, cluster_csv, cluster_matrix, cluster_sweep
-    from .fabric import build_multiplier
+    from .clustering import cluster_csv, cluster_matrix
+    from .designspace import analyze_design
     from .metrics import fmt6
-    library = load_library_file(args.library)
-    name, config = _design_config(args, library)
-    spec = ClusterSpec(config.width, args.cluster_size)
-    report = cluster_sweep(build_multiplier(config, library), spec=spec)
+    library, name, config = _design_config(args)
+    _, report = analyze_design(config, library, args.cluster_size)
+    total = report.spec.total_clusters
+    ned_over = total - int(report.meets("ned", args.ned_threshold).sum())
+    psnr_under = total - int(report.meets("psnr", args.psnr_threshold).sum())
 
     if "csv" in args.format:
         _write(args.out, f"clusters_{name}.csv", cluster_csv(report))
@@ -278,17 +280,13 @@ def cmd_clusters(args) -> int:
             "design": name,
             "ned_avg": report.ned_avg, "ned_max": report.ned_max,
             "psnr_avg": report.psnr_avg, "psnr_min": report.psnr_min,
-            "ned_violations": report.count_ned_over(args.ned_threshold),
-            "psnr_violations": report.count_psnr_under(args.psnr_threshold),
+            "ned_violations": ned_over, "psnr_violations": psnr_under,
         }
         _write(args.out, f"clusters_{name}.json", _json_text(doc))
 
-    total = report.spec.total_clusters
     print(f"{name}: ned_avg={fmt6(report.ned_avg)} psnr_avg={fmt6(report.psnr_avg)}")
-    print(f"ned>{args.ned_threshold:g}: "
-          f"{report.count_ned_over(args.ned_threshold)}/{total}")
-    print(f"psnr<{args.psnr_threshold:g}dB: "
-          f"{report.count_psnr_under(args.psnr_threshold)}/{total}")
+    print(f"ned>{args.ned_threshold:g}: {ned_over}/{total}")
+    print(f"psnr<{args.psnr_threshold:g}dB: {psnr_under}/{total}")
     return 0
 
 
@@ -297,8 +295,7 @@ def cmd_histogram(args) -> int:
     from .clustering import ed_histogram, histogram_csv
     from .fabric import build_multiplier
     from .metrics import fmt6
-    library = load_library_file(args.library)
-    name, config = _design_config(args, library)
+    library, name, config = _design_config(args)
     grid = build_multiplier(config, library)
     hist = ed_histogram(grid, bin_width=args.bin_width)
 

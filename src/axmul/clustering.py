@@ -93,11 +93,13 @@ class ClusterReport:
         finite = self._finite_psnr()
         return float(finite.min()) if finite.size else math.inf
 
-    def count_ned_over(self, threshold: float) -> int:
-        return int(np.count_nonzero(self.cells["ned"] > threshold))
-
-    def count_psnr_under(self, threshold: float) -> int:
-        return int(np.count_nonzero(self.cells["psnr"] < threshold))
+    def meets(self, metric: str, threshold: float) -> np.ndarray:
+        """Per block, whether it meets the threshold: ned <= t, or psnr >= t."""
+        if metric == "ned":
+            return self.cells["ned"] <= threshold
+        if metric == "psnr":
+            return self.cells["psnr"] >= threshold
+        raise ValueError(f"unknown quality metric {metric!r}")
 
 
 def chunk_errors(grid: CellGrid, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -114,7 +116,7 @@ def chunk_errors(grid: CellGrid, lo: int, hi: int) -> tuple[np.ndarray, np.ndarr
     return exact, ed
 
 
-def cluster_sweep(grid: CellGrid, spec: ClusterSpec) -> ClusterReport:
+def cluster_sweep(grid: CellGrid, cluster_size: int) -> ClusterReport:
     """Aggregate every s*s operand block, and the whole domain, in one sweep.
 
     Each first-operand chunk is evaluated once and its ED array formed
@@ -125,8 +127,7 @@ def cluster_sweep(grid: CellGrid, spec: ClusterSpec) -> ClusterReport:
     `totals` equals `exhaustive_sweep`).  `finish_blocks` turns the
     per-block sums into the report's columns.
     """
-    if spec.width != grid.width:
-        raise ValueError("cluster spec width does not match grid width")
+    spec = ClusterSpec(grid.width, cluster_size)   # refuses oversized grids
     bounds = sweep_chunk_bounds(grid.width)
 
     s = spec.cluster_size

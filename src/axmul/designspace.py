@@ -12,7 +12,7 @@ from itertools import repeat
 import numpy as np
 
 from .adders import AdderLibrary
-from .clustering import ClusterReport, ClusterSpec, cluster_sweep
+from .clustering import ClusterReport, cluster_sweep
 from .fabric import MultiplierConfig, build_multiplier
 from .metrics import MetricReport, finalize, report_csv_header, report_csv_row
 
@@ -65,8 +65,7 @@ class TableRow:
 def analyze_design(config: MultiplierConfig, library: AdderLibrary,
                    cluster_size: int) -> tuple[MetricReport, ClusterReport]:
     """One cluster sweep; its totals finalized, cluster averages attached."""
-    spec = ClusterSpec(config.width, cluster_size)   # refuses oversized grids
-    clusters = cluster_sweep(build_multiplier(config, library), spec=spec)
+    clusters = cluster_sweep(build_multiplier(config, library), cluster_size)
     pmax = ((1 << config.width) - 1) ** 2
     report = replace(finalize(clusters.totals, pmax), ned_clustered_avg=clusters.ned_avg,
                      psnr_clustered_avg=clusters.psnr_avg)
@@ -108,14 +107,12 @@ def select_per_cluster(reports: list[tuple[DesignId, ClusterReport]],
                        metric: str, threshold: float) -> np.ndarray:
     """Per block, the ordinal of the highest-degree design whose cell meets the threshold.
 
-    A cell meets it when its `metric` is "ned" and ned <= threshold, or is
-    "psnr" and psnr >= threshold.  Returns the (grid_side, grid_side)
-    int64 grid of ordinals, indexed [ia, ib]; 0 marks a block where no
-    design qualifies (exact fallback), so design ordinals must be >= 1.
-    Ties go to the lowest cluster NED, then the lowest ordinal.
+    A cell meets it as `ClusterReport.meets` decides.  Returns the
+    (grid_side, grid_side) int64 grid of ordinals, indexed [ia, ib]; 0
+    marks a block where no design qualifies (exact fallback), so design
+    ordinals must be >= 1.  Ties go to the lowest cluster NED, then the
+    lowest ordinal.
     """
-    if metric not in ("ned", "psnr"):
-        raise ValueError(f"unknown quality metric {metric!r}")
     if not reports:
         raise ValueError("no design reports to select from")
     sides = {rep.spec.grid_side for _, rep in reports}
@@ -130,8 +127,7 @@ def select_per_cluster(reports: list[tuple[DesignId, ClusterReport]],
     best_ordinal = np.zeros(side * side, dtype=np.int64)
     for did, rep in reports:
         ned = rep.cells["ned"]
-        admitted = ned <= threshold if metric == "ned" else rep.cells["psnr"] >= threshold
-        wins = admitted & (
+        wins = rep.meets(metric, threshold) & (
             (did.degree_bits > best_degree)
             | ((did.degree_bits == best_degree)
                & ((ned < best_ned)

@@ -80,7 +80,6 @@ class MultiplierConfig:
 
 @dataclass(frozen=True)
 class AdderCell:
-    kind: str        # "array" or "merge"
     row: int         # array row i (1..n-1); -1 for merge cells
     col: int         # array column j; merge cells carry the weight w here
     weight: int      # significance of the sum output
@@ -91,12 +90,6 @@ class AdderCell:
     out_cout: int
     spec: FullAdderSpec
     approximate: bool
-
-    @property
-    def role(self) -> str:
-        if self.kind == "array":
-            return f"array({self.row},{self.col})"
-        return f"merge({self.col})"
 
 
 @dataclass(frozen=True)
@@ -119,14 +112,14 @@ class _GridBuilder:
     def pp(self, i, j):
         return 1 + i * self.config.width + j
 
-    def cell(self, kind, row, col, weight, a, b, cin):
+    def cell(self, row, col, weight, a, b, cin):
         approx = weight < self.config.degree
         if approx and self.config.half_adders == "exact" and 0 in (a, b, cin):
             approx = False
         spec = self.approx_spec if approx else self.exact_spec
         out_sum, out_cout = self.next_id, self.next_id + 1
         self.next_id += 2
-        self.cells.append(AdderCell(kind, row, col, weight, a, b, cin,
+        self.cells.append(AdderCell(row, col, weight, a, b, cin,
                                     out_sum, out_cout, spec, approx))
         return out_sum, out_cout
 
@@ -162,7 +155,7 @@ def _build_carry_save(config: MultiplierConfig, library: AdderLibrary) -> CellGr
         new_carry = [0] * n
         for j in range(n):
             shifted = sum_sig[j + 1] if j + 1 < n else const0   # S(i-1, n) = 0
-            s, c = b.cell("array", i, j, i + j, b.pp(i, j), shifted, carry_sig[j])
+            s, c = b.cell(i, j, i + j, b.pp(i, j), shifted, carry_sig[j])
             new_sum[j] = s
             new_carry[j] = c
         sum_sig, carry_sig = new_sum, new_carry
@@ -173,7 +166,7 @@ def _build_carry_save(config: MultiplierConfig, library: AdderLibrary) -> CellGr
     for w in range(n, 2 * n):
         j = w - n + 1
         top_sum = sum_sig[j] if j < n else const0               # S(n-1, n) = 0
-        s, c = b.cell("merge", -1, w, w, top_sum, carry_sig[w - n], ripple)
+        s, c = b.cell(-1, w, w, top_sum, carry_sig[w - n], ripple)
         taps[w] = s
         ripple = c
 
@@ -198,7 +191,7 @@ def _build_row_ripple(config: MultiplierConfig, library: AdderLibrary) -> CellGr
         new_acc = [0] * n
         for j in range(n):
             above = acc[j + 1] if j + 1 < n else top
-            s, c = b.cell("array", i, j, i + j, b.pp(i, j), above, carry)
+            s, c = b.cell(i, j, i + j, b.pp(i, j), above, carry)
             new_acc[j] = s
             carry = c
         acc = new_acc

@@ -22,7 +22,7 @@ from axmul.adders import AdderLibrary, FullAdderSpec, load_library_file
 from axmul.calibration import (SPOT_CHECKS, compare_to_published,
                                write_deviation_report)
 from axmul.cli import default_library_path, main
-from axmul.clustering import ClusterSpec, cluster_sweep, ed_histogram
+from axmul.clustering import cluster_sweep, ed_histogram
 from axmul.designspace import design_id, enumerate_library, library_metrics_table
 from axmul.fabric import (MultiplierConfig, build_multiplier,
                           eval_multiply_many)
@@ -129,7 +129,7 @@ def test_criterion_3_reduced_width_oracle():
         if got != oracle_histogram(grid, 1):
             failures.append(f"{name}/{arch}: histogram")
 
-        cl = cluster_sweep(grid, spec=ClusterSpec(4, 4))
+        cl = cluster_sweep(grid, 4)
         want_cells = oracle_clusters(grid, 4)
         names = cl.cells.dtype.names
         for cell in (dict(zip(names, row)) for row in cl.cells.tolist()):
@@ -165,7 +165,7 @@ def test_criterion_4_invariant_suite():
         if sum(c for _, c in hist.bins) != 256:
             failures.append(f"histogram mass {name}/{degree}")
 
-        cl = cluster_sweep(grid, spec=ClusterSpec(4, 4))
+        cl = cluster_sweep(grid, 4)
         cell_ed = sum(cl.cells["sum_ed"].tolist())
         cell_ed_sq = sum(cl.cells["sum_ed_sq"].tolist())
         if cell_ed != acc.sum_ed:
@@ -256,8 +256,8 @@ def test_criterion_7_quoted_spot_checks(shipped_library):
             > 0.05 * SPOT_CHECKS["design1_mean_ed"]:
         failures.append(f"Design1 mean ED {hist.mean_ed:.1f} (want ~102)")
 
-    cl_d1 = cluster_sweep(grid_d1, ClusterSpec(8, 16))
-    n_psnr = cl_d1.count_psnr_under(25.0)
+    cl_d1 = cluster_sweep(grid_d1, 16)
+    n_psnr = np.count_nonzero(~cl_d1.meets("psnr", 25.0))
     if abs(n_psnr - SPOT_CHECKS["ama1_d1_psnr_under_25db"]) > 3:
         failures.append(f"AMA1/D1 psnr<25dB count {n_psnr} (want ~19)")
 
@@ -265,8 +265,8 @@ def test_criterion_7_quoted_spot_checks(shipped_library):
     grid_d4 = build_multiplier(
         MultiplierConfig(8, "AMA1", d4.degree_bits, architecture="row_ripple"),
         shipped_library)
-    cl_d4 = cluster_sweep(grid_d4, ClusterSpec(8, 16))
-    n_ned = cl_d4.count_ned_over(1.0)
+    cl_d4 = cluster_sweep(grid_d4, 16)
+    n_ned = np.count_nonzero(~cl_d4.meets("ned", 1.0))
     if abs(n_ned - SPOT_CHECKS["ama1_d4_ned_over_100pct"]) > 4:
         failures.append(f"AMA1/D4 ned>100% count {n_ned} (want ~79)")
     if abs(cl_d4.ned_avg - SPOT_CHECKS["ama1_d4_ned_avg"]) \
@@ -276,7 +276,7 @@ def test_criterion_7_quoted_spot_checks(shipped_library):
     grid_a5 = build_multiplier(
         MultiplierConfig(8, "AMA5", 16, architecture="row_ripple"),
         shipped_library)
-    n_a5 = cluster_sweep(grid_a5, ClusterSpec(8, 16)).count_psnr_under(25.0)
+    n_a5 = np.count_nonzero(~cluster_sweep(grid_a5, 16).meets("psnr", 25.0))
     if abs(n_a5 - SPOT_CHECKS["ama5_d4_psnr_under_25db"]) > 4:
         failures.append(f"AMA5/D4 psnr<25dB count {n_a5} (want ~239)")
 

@@ -609,7 +609,9 @@ def test_psnr_selection_matches_recorded_digests(cluster_size, tmp_path, capsys)
 
 # sha256 of outputs on the shipped library, recorded before the report
 # serializers were rewritten and before wide histograms merged their bars;
-# the benchmark digests cover no approximate sweep and no histogram
+# the width-10 rows (one row_ripple, one carry_save design) before the block
+# threshold moved into ClusterReport.meets.  The benchmark digests cover no
+# approximate sweep, no histogram, no width but 8 and no carry_save output.
 RECORDED_DIGESTS = {
     "sweep AMA4 D2": {
         "sweep_AMA4_D2.csv": "5d942c808aecd576334c23962d46b676ca18dfcb625ac23dfa06bea05d5d505b",
@@ -620,13 +622,36 @@ RECORDED_DIGESTS = {
         "histogram_AMA2_D4.json": "45f8f203d0f248bf260f2a0b648dbe2bbf85fe77155d354dbb5f532748eb040f",
         "histogram_AMA2_D4.svg": "1cc5708c433cfd794b5b3e70d3454ecd21c9aa165d6e740ed9855ab3459c7a0c",
         "stdout": "da691db67c80fe76dfa961e169ac5724c803f60370226a7da4a1bd94e14ecec7"},
+    "clusters AMA5 12 --width 10 --cluster-size 16": {
+        "clusters_AMA5_d12.csv": "7a71dd109f644090d3101c204497172d18e0abab4f6f16afb9163651c245fd4b",
+        "clusters_AMA5_d12.json": "df15bc0da828e04e72da5d168ccf1d4ce051f188ed34d87ebc3b967fb5f5221c",
+        "clusters_AMA5_d12.svg": "b8519c9b047296d199507b86c943d911a5a31e41e878870e75d226bdc1c07a7c",
+        "clusters_AMA5_d12_ned.txt": "97489fdaedd05cd1d16ec7a4f5d3c8584adb532931baf871ff55190a76a7966d",
+        "stdout": "c50f48e9daa46f93c0e75f8271ffb3c5795e1c664c6623a82892aa39881b5292"},
+    "histogram AMA5 12 --width 10 --cluster-size 16": {
+        "histogram_AMA5_d12.csv": "37869d8a8c36dc91652601b8f969ffafa293e79496e7b3a54c98e8398a6f3f09",
+        "histogram_AMA5_d12.json": "4c05f6fb2cf7422de9e187914ccb55af8c6df76afc2b58a82dbdc5b6fbaa4011",
+        "histogram_AMA5_d12.svg": "d5be12e2e13ada44884f7eade82e47ecea8beb3f5feb98340ab083b54492e8ef",
+        "stdout": "6808bb8dd82726f6851837c2137cd6bf0e0ed17549145aa222b2c8f1fef5103b"},
+    "clusters AMA3 14 --width 10 --cluster-size 16 --architecture carry_save": {
+        "clusters_AMA3_d14.csv": "8967072abf649a1c9b9edb3ba0df852eb36a353f3f1a97bbf5397c4b19d87fed",
+        "clusters_AMA3_d14.json": "37337261487c11905e2c2cd2dad1944abe5d8b578b0304ed968f8a48e501546b",
+        "clusters_AMA3_d14.svg": "e3d9d659ec802a9859a8c7180c21ef9ecbc04a77606cba5b8c5aa98415352fdc",
+        "clusters_AMA3_d14_ned.txt": "27291e97713f9ec3d6c40fa7e233acd097684f4adce6188732fb3fb2a1e0b230",
+        "stdout": "b928c02260512d92444cafb01e39def1c136184452d7ceb9d3a7a4486a642de7"},
+    "histogram AMA3 14 --width 10 --cluster-size 16 --architecture carry_save": {
+        "histogram_AMA3_d14.csv": "6193ad51528f00482c86df777e5543876e1643e586a76b05206a130e47e5cea8",
+        "histogram_AMA3_d14.json": "140d2dc53a1ecf19db75f866a93e47dd3d0a14004b408454ea11d5e3b613da37",
+        "histogram_AMA3_d14.svg": "ef3498f01d7bfacaa884bf1e831133992649c98b892c172cce14527fc637544f",
+        "stdout": "9ec3eada29ebad48b7908557e76237c24f39f6d2e98e67a9171f9dd750581daa"},
 }
 
 
 @pytest.mark.parametrize("key", sorted(RECORDED_DIGESTS))
 def test_outputs_match_recorded_digests(key, tmp_path, capsys):
-    command, adder, degree = key.split()
-    assert main([command, "--type", adder, "--degree", degree, "--out", str(tmp_path)]) == 0
+    command, adder, degree, *options = key.split()
+    assert main([command, "--type", adder, "--degree", degree, *options,
+                 "--out", str(tmp_path)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir()}
     digests["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()

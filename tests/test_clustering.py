@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from axmul.adders import AdderLibrary
-from axmul.clustering import (MAX_BLOCKS, ClusterSpec, cluster_csv,
-                              cluster_matrix, cluster_sweep, ed_histogram,
-                              finish_blocks, histogram_csv)
+from axmul.clustering import (MAX_BLOCKS, ClusterReport, ClusterSpec,
+                              cluster_csv, cluster_matrix, cluster_sweep,
+                              ed_histogram, finish_blocks, histogram_csv)
 from axmul.fabric import MultiplierConfig, build_multiplier
-from axmul.metrics import exhaustive_sweep
+from axmul.metrics import MetricAccumulator, exhaustive_sweep
 from oracles import oracle_blocks, oracle_clusters, oracle_histogram
 
 EXACT_LIB = AdderLibrary()
@@ -34,18 +34,18 @@ def test_cluster_spec_caps_the_block_grid():
 
 def test_exact_grid_all_zero():
     grid = build_multiplier(MultiplierConfig(8, "exact", 0, "carry_save"), EXACT_LIB)
-    report = cluster_sweep(grid, ClusterSpec(8, 16))
+    report = cluster_sweep(grid, 16)
     assert len(report.cells) == 256
     assert np.all(report.cells["ned"] == 0.0)
     assert np.all(report.cells["psnr"] == math.inf)
-    assert report.count_ned_over(1.0) == 0
-    assert report.count_psnr_under(25.0) == 0
+    assert report.meets("ned", 1.0).all()
+    assert report.meets("psnr", 25.0).all()
     assert (report.psnr_avg, report.psnr_min) == (math.inf, math.inf)
 
 
 def test_cluster_pmax_corners():
     grid = build_multiplier(MultiplierConfig(8, "exact", 0, "carry_save"), EXACT_LIB)
-    pmax = cluster_sweep(grid, ClusterSpec(8, 16)).cells["pmax_cluster"].reshape(16, 16)
+    pmax = cluster_sweep(grid, 16).cells["pmax_cluster"].reshape(16, 16)
     assert pmax[0, 0] == 225
     assert pmax[15, 15] == 65025
     assert pmax[2, 5] == (2 * 16 + 15) * (5 * 16 + 15)
@@ -54,7 +54,7 @@ def test_cluster_pmax_corners():
 def test_cluster_cells_match_oracle_n4(small_library):
     for name in ("ZERO", "RND1", "RND2"):
         grid = build_multiplier(MultiplierConfig(4, name, 8, "carry_save"), small_library)
-        report = cluster_sweep(grid, spec=ClusterSpec(4, 4))
+        report = cluster_sweep(grid, 4)
         want = oracle_clusters(grid, 4)
         assert len(report.cells) == 16
         for cell in report.cells:
@@ -72,7 +72,7 @@ def test_cluster_cells_match_oracle_n4(small_library):
 def test_mass_conservation_against_global(small_library):
     grid = build_multiplier(MultiplierConfig(4, "RND1", 7, "carry_save"), small_library)
     acc = exhaustive_sweep(grid)
-    report = cluster_sweep(grid, spec=ClusterSpec(4, 4))
+    report = cluster_sweep(grid, 4)
     cells = report.cells
     assert sum(cells["sum_ed"].tolist()) == acc.sum_ed
     assert sum(cells["sum_ed_sq"].tolist()) == acc.sum_ed_sq
@@ -85,24 +85,34 @@ def test_mass_conservation_against_global(small_library):
 
 def test_report_extremes_order(small_library):
     grid = build_multiplier(MultiplierConfig(4, "RND2", 6, "carry_save"), small_library)
-    report = cluster_sweep(grid, spec=ClusterSpec(4, 4))
+    report = cluster_sweep(grid, 4)
     assert report.ned_max >= report.ned_avg
     assert report.psnr_min <= report.psnr_avg
 
 
 def test_threshold_monotonicity(small_library):
     grid = build_multiplier(MultiplierConfig(4, "RND1", 8, "carry_save"), small_library)
-    report = cluster_sweep(grid, spec=ClusterSpec(4, 4))
-    neds = [report.count_ned_over(t) for t in (0.0, 0.1, 0.5, 1.0, 10.0)]
-    assert neds == sorted(neds, reverse=True)
-    psnrs = [report.count_psnr_under(t) for t in (0.0, 10.0, 25.0, 60.0)]
-    assert psnrs == sorted(psnrs)
+    report = cluster_sweep(grid, 4)
+    neds = [report.meets("ned", t).sum() for t in (0.0, 0.1, 0.5, 1.0, 10.0)]
+    assert neds == sorted(neds)
+    psnrs = [report.meets("psnr", t).sum() for t in (0.0, 10.0, 25.0, 60.0)]
+    assert psnrs == sorted(psnrs, reverse=True)
 
 
-def test_cluster_width_mismatch(small_library):
-    grid = build_multiplier(MultiplierConfig(4, "ZERO", 8, "carry_save"), small_library)
-    with pytest.raises(ValueError):
-        cluster_sweep(grid, spec=ClusterSpec(8, 16))
+def test_meets_at_the_edges():
+    cells = np.zeros(4, dtype=[("ned", float), ("psnr", float)])
+    cells["ned"] = [0.0, 0.5, 1.0, 2.0]
+    cells["psnr"] = [math.inf, 30.0, 25.0, 0.0]
+    report = ClusterReport(ClusterSpec(2, 2), cells, MetricAccumulator())
+    assert report.meets("ned", 0.0).tolist() == [True, False, False, False]
+    assert report.meets("ned", 1.0).tolist() == [True, True, True, False]
+    assert report.meets("ned", math.inf).all()
+    assert report.meets("psnr", 0.0).all()
+    assert report.meets("psnr", 25.0).tolist() == [True, True, True, False]
+    # an error-free block has +inf PSNR, which meets every threshold
+    assert report.meets("psnr", math.inf).tolist() == [True, False, False, False]
+    with pytest.raises(ValueError, match="unknown quality metric"):
+        report.meets("mse", 1.0)
 
 
 def test_finish_blocks_keeps_squared_sums_past_int64_exact():
@@ -158,7 +168,7 @@ def test_histogram_default_bin_width(small_library):
 
 def test_cluster_csv_round_trip(small_library):
     grid = build_multiplier(MultiplierConfig(4, "RND2", 8, "carry_save"), small_library)
-    report = cluster_sweep(grid, spec=ClusterSpec(4, 4))
+    report = cluster_sweep(grid, 4)
     lines = cluster_csv(report).strip().split("\n")
     assert lines[0] == "ia,ib,mean_ed,pmax_cluster,ned,mse,psnr"
     assert len(lines) == 17
@@ -174,7 +184,7 @@ def test_cluster_csv_round_trip(small_library):
 
 def test_cluster_matrix_shape(small_library):
     grid = build_multiplier(MultiplierConfig(4, "RND1", 4, "carry_save"), small_library)
-    report = cluster_sweep(grid, spec=ClusterSpec(4, 4))
+    report = cluster_sweep(grid, 4)
     rows = cluster_matrix(report).strip().split("\n")
     assert len(rows) == 4
     assert all(len(r.split()) == 4 for r in rows)

@@ -168,14 +168,30 @@ def test_select_monotone_rescale_invariance():
 
 def test_select_mismatched_specs_rejected():
     lo, hi = toy_designs()
-    small = synth_report([0.0] * 4)
-    big = cluster_sweep(build_multiplier(MultiplierConfig(4, "exact", 0, "carry_save"),
-                                         AdderLibrary()),
-                        spec=ClusterSpec(4, 4))
+    grid = build_multiplier(MultiplierConfig(4, "exact", 0, "carry_save"), AdderLibrary())
+    small, big = cluster_sweep(grid, 8), cluster_sweep(grid, 4)
     with pytest.raises(ValueError):
         select_per_cluster([(lo, small), (hi, big)], "ned", 1.0)
     with pytest.raises(ValueError):
         select_per_cluster([], "ned", 1.0)
+
+
+@pytest.fixture(scope="module")
+def shipped_rows():
+    lib = load_library_file(default_library_path())
+    return library_metrics_table(enumerate_library(lib, "row_ripple"), lib, 16, 1)
+
+
+@pytest.mark.parametrize("metric, threshold", [("ned", 1.0), ("psnr", 25.0)])
+def test_select_one_design_keeps_the_blocks_it_meets(shipped_rows, metric, threshold):
+    mixed = 0
+    for row in shipped_rows:
+        meets = row.clusters.meets(metric, threshold)
+        sel = select_per_cluster([(row.design, row.clusters)], metric, threshold)
+        want = np.where(meets, row.design.ordinal, 0).reshape(sel.shape)
+        assert sel.tolist() == want.tolist()
+        mixed += 0 < meets.sum() < meets.size
+    assert mixed   # some design meets the threshold in some blocks only
 
 
 def test_select_matches_argmax_oracle_4bit():
@@ -187,7 +203,7 @@ def test_select_matches_argmax_oracle_4bit():
             [("T1", 2), ("T1", 6), ("T2", 2), ("T2", 6)], start=1):
         did = DesignId(name, f"deg{bits}", ordinal, degree_bits=bits)
         grid = build_multiplier(MultiplierConfig(4, name, bits, "carry_save"), lib)
-        designs.append((did, cluster_sweep(grid, spec=ClusterSpec(4, 4))))
+        designs.append((did, cluster_sweep(grid, 4)))
     threshold = 0.05
     sel = select_per_cluster(designs, "ned", threshold)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from axmul.adders import AdderLibrary, FullAdderSpec, UnknownAdderError
-from axmul.clustering import ClusterSpec, cluster_sweep, ed_histogram
+from axmul.clustering import cluster_sweep, ed_histogram
 from axmul.fabric import (ARCHITECTURES, MultiplierConfig, build_multiplier,
                           eval_multiply_many)
 from axmul.metrics import exhaustive_sweep, finalize
@@ -152,7 +152,7 @@ def test_cluster_sweep_totals_equal_exhaustive_sweep_property(
     degree = data.draw(st.integers(0, 2 * width), label="degree")
     lib = AdderLibrary([FullAdderSpec("R", sum_bits, cout_bits)])
     grid = build(width, "R", degree, library=lib, architecture=architecture)
-    report = cluster_sweep(grid, spec=ClusterSpec(width, size))
+    report = cluster_sweep(grid, size)
     totals, swept = report.totals, exhaustive_sweep(grid)
 
     for f in ("count", "err_count", "sum_ed", "sum_ed_sq", "max_ed", "red_count"):
@@ -201,8 +201,8 @@ def test_monotone_cell_assignment():
     grids = {d: build(8, "exact", d, "carry_save") for d in (0, 3, 7, 8, 9, 16)}
     degrees = sorted(grids)
     for lo, hi in zip(degrees, degrees[1:]):
-        lo_set = {c.role for c in grids[lo].cells if c.approximate}
-        hi_set = {c.role for c in grids[hi].cells if c.approximate}
+        lo_set = {(c.row, c.col) for c in grids[lo].cells if c.approximate}
+        hi_set = {(c.row, c.col) for c in grids[hi].cells if c.approximate}
         assert lo_set <= hi_set
 
 
@@ -251,7 +251,7 @@ def test_row_ripple_cell_count_and_exactness():
     for n in (2, 3, 4):
         grid = build(n, "exact", 0, architecture="row_ripple")
         assert len(grid.cells) == n * (n - 1)
-        assert all(c.kind == "array" for c in grid.cells)
+        assert all(c.row >= 1 for c in grid.cells)   # no merge cells
         for x in range(1 << n):
             for y in range(1 << n):
                 assert eval_multiply(grid, x, y) == x * y
@@ -260,14 +260,14 @@ def test_row_ripple_cell_count_and_exactness():
 def test_row_ripple_half_adder_positions():
     grid = build(8, "exact", 16, architecture="row_ripple")
     assert grid.config.half_adders == "exact"   # fixed by the layout
-    const_fed = {c.role for c in grid.cells
+    const_fed = {(c.row, c.col) for c in grid.cells
                  if 0 in (c.in_a, c.in_b, c.in_cin)}
     # the LSB cell of each row plus the top cell of row 1
-    want = {f"array({i},0)" for i in range(1, 8)} | {"array(1,7)"}
+    want = {(i, 0) for i in range(1, 8)} | {(1, 7)}
     assert const_fed == want
     assert sum(c.approximate for c in grid.cells) == 56 - 8
     for cell in grid.cells:
-        if cell.role in const_fed:
+        if (cell.row, cell.col) in const_fed:
             assert not cell.approximate
 
 
@@ -285,8 +285,8 @@ def test_row_ripple_monotone_assignment():
              for d in (0, 3, 7, 9, 16)}
     degrees = sorted(grids)
     for lo, hi in zip(degrees, degrees[1:]):
-        lo_set = {c.role for c in grids[lo].cells if c.approximate}
-        hi_set = {c.role for c in grids[hi].cells if c.approximate}
+        lo_set = {(c.row, c.col) for c in grids[lo].cells if c.approximate}
+        hi_set = {(c.row, c.col) for c in grids[hi].cells if c.approximate}
         assert lo_set <= hi_set
 
 

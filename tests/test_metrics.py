@@ -6,7 +6,7 @@ import pytest
 
 import axmul.clustering
 from axmul.adders import AdderLibrary
-from axmul.clustering import ClusterSpec, cluster_sweep
+from axmul.clustering import cluster_sweep
 from axmul.fabric import MAX_WIDTH, MultiplierConfig, build_multiplier
 from axmul.metrics import (MetricAccumulator,
                            accumulate_arrays, chunk_operands, combine_squares,
@@ -198,7 +198,7 @@ def test_cluster_sweep_sum_ed_sq_is_exact_past_int64(monkeypatch):
         return xs * ys, np.full(xs.shape, top, dtype=np.int64)
     monkeypatch.setattr(axmul.clustering, "chunk_errors", chunk_errors)
     grid = build_multiplier(MultiplierConfig(12, "exact", 0, "carry_save"), EXACT_LIB)
-    report = cluster_sweep(grid, ClusterSpec(12, 256))
+    report = cluster_sweep(grid, 256)
     totals = report.totals
     assert totals.count == 1 << 24
     assert totals.sum_ed == (1 << 24) * top
