@@ -118,9 +118,8 @@ def _add_common(sub, with_design=False, with_thresholds=False):
     sub.add_argument("--format", type=format_list, default=DEFAULT_FORMATS,
                      help="comma list from csv,json,svg")
     sub.add_argument("--workers", type=positive_int, default=1,
-                     help="processes for table and select, one design per "
-                          "job and at most one per design; sweep, clusters "
-                          "and histogram run in-process whatever the value")
+                     help="accepted for existing scripts and has no effect: "
+                          "every command runs in one process")
     sub.add_argument("--architecture", choices=("row_ripple", "carry_save"),
                      default="row_ripple",
                      help="array layout (default: row_ripple, which the "
@@ -241,7 +240,7 @@ def cmd_table(args) -> int:
         entries = [e for e in entries if e[0].ordinal in args.ordinals]
     if not entries:
         raise ValueError("design filter matched no rows")
-    rows = library_metrics_table(entries, library, args.cluster_size, args.workers)
+    rows = library_metrics_table(entries, library, args.cluster_size)
 
     if "csv" in args.format:
         _write(args.out, "library_table.csv", table_csv(rows))
@@ -319,7 +318,7 @@ def cmd_select(args) -> int:
                               selection_summary)
     from .metrics import fmt6
     library, entries = _library_entries(args)
-    rows = library_metrics_table(entries, library, args.cluster_size, args.workers)
+    rows = library_metrics_table(entries, library, args.cluster_size)
     threshold = args.ned_threshold if args.metric == "ned" else args.psnr_threshold
     ordinals = select_per_cluster([(r.design, r.clusters) for r in rows],
                                   args.metric, threshold)
@@ -332,7 +331,8 @@ def cmd_select(args) -> int:
         _write(args.out, "selection.json", _json_text(doc))
     top = sorted(summary["usage_counts"].items(), key=lambda kv: (-kv[1], kv[0]))[:4]
     shown = " ".join(f"{k}:{v}" for k, v in top)
-    print(f"selection ({args.metric}<= {threshold:g}): "
+    rule = "<=" if args.metric == "ned" else ">="   # as ClusterReport.meets admits
+    print(f"selection ({args.metric}{rule} {threshold:g}): "
           f"exact_fraction={fmt6(summary['exact_fraction'])} top=[{shown}]")
     return 0
 

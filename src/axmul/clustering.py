@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -23,6 +24,9 @@ from .metrics import (PEAK_SQUARED, MetricAccumulator, accumulate_arrays,
 
 MAX_BLOCKS = 1 << 20   # grid side <= 1024; the report keeps a row per block
 MAX_BINS = 1 << 16     # every bin width fits at width 8, where ED < 2^16
+# blocks finished at a time for the averages of a larger grid; every grid
+# at width 8 is one batch
+BATCH_BLOCKS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,6 @@ class ClusterSpec:
         return self.grid_side ** 2
 
 
-@dataclass(frozen=True, eq=False)
 class ClusterReport:
     """Aggregates of every s*s operand block, one structured-array row each.
 
@@ -62,35 +65,72 @@ class ClusterReport:
     peak product: the EDs are mapped onto 0..255 by 255/pmax_cluster
     before squaring, which makes blocks of small operands comparable to
     blocks of large ones.
+
+    A report of `cluster_sweep` keeps the per-block sums, `sums =
+    (sum_ed, sq_parts)`, and builds `cells` from them on first read.  A
+    grid of more than BATCH_BLOCKS blocks whose cells nobody has read
+    takes its averages from the sums BATCH_BLOCKS blocks at a time, so
+    `sweep` never holds a row per block.
     """
 
-    spec: ClusterSpec
-    cells: np.ndarray
-    totals: MetricAccumulator         # the whole-domain sweep the cells came from
+    def __init__(self, spec: ClusterSpec, cells: np.ndarray | None,
+                 totals: MetricAccumulator,
+                 sums: tuple[np.ndarray, np.ndarray] | None = None):
+        self.spec = spec
+        self.totals = totals   # the whole-domain sweep the cells came from
+        self._sums = sums
+        if cells is not None:
+            self.cells = cells
 
-    # The averages use Python's sequential float sum, not numpy's pairwise
-    # one: the printed values depend on the summation order.
+    @cached_property
+    def cells(self) -> np.ndarray:
+        cells = finish_blocks(self.spec, *self._sums)
+        self._sums = None   # the cells hold the sums too
+        return cells
+
+    def _cell_batches(self):
+        """`cells` in row-major batches: whole where built or small, else from the sums."""
+        if "cells" in vars(self) or self.spec.total_clusters <= BATCH_BLOCKS:
+            yield self.cells
+            return
+        sum_ed, sq_parts = self._sums
+        step = BATCH_BLOCKS // self.spec.grid_side
+        for row in range(0, self.spec.grid_side, step):
+            yield finish_blocks(self.spec, sum_ed[row:row + step],
+                                sq_parts[:, row:row + step], row)
+
+    @cached_property
+    def _averages(self) -> tuple[float, float]:
+        # Python's sequential float sum, not numpy's pairwise one: the printed
+        # values depend on the summation order.  Carried from batch to batch,
+        # it adds in the order of one sum over every block.
+        ned_sum, blocks, psnr_sum, finite = 0.0, 0, 0.0, 0
+        for cells in self._cell_batches():
+            ned_sum = sum(cells["ned"].tolist(), ned_sum)
+            blocks += len(cells)
+            psnr = cells["psnr"]
+            psnr = psnr[psnr != math.inf].tolist()
+            psnr_sum = sum(psnr, psnr_sum)
+            finite += len(psnr)
+        return ned_sum / blocks, psnr_sum / finite if finite else math.inf
+
     @property
     def ned_avg(self) -> float:
-        return sum(self.cells["ned"].tolist()) / len(self.cells)
+        return self._averages[0]
 
     @property
     def ned_max(self) -> float:
         return float(self.cells["ned"].max())
 
-    def _finite_psnr(self) -> np.ndarray:
-        psnr = self.cells["psnr"]
-        return psnr[psnr != math.inf]
-
     @property
     def psnr_avg(self) -> float:
         """Mean over finite-PSNR cells; +inf cells are reported separately."""
-        finite = self._finite_psnr().tolist()
-        return sum(finite) / len(finite) if finite else math.inf
+        return self._averages[1]
 
     @property
     def psnr_min(self) -> float:
-        finite = self._finite_psnr()
+        psnr = self.cells["psnr"]
+        finite = psnr[psnr != math.inf]
         return float(finite.min()) if finite.size else math.inf
 
     def meets(self, metric: str, threshold: float) -> np.ndarray:
@@ -124,8 +164,8 @@ def cluster_sweep(grid: CellGrid, cluster_size: int) -> ClusterReport:
     partials; a block taller than a chunk collects several chunks.  The
     chunk's partials, summed over its blocks, give the squared-ED sum of
     the global accumulator, which merges the chunks in chunk order (so
-    `totals` equals `exhaustive_sweep`).  `finish_blocks` turns the
-    per-block sums into the report's columns.
+    `totals` equals `exhaustive_sweep`).  The report keeps the per-block
+    sums; `finish_blocks` turns them into its columns.
     """
     spec = ClusterSpec(grid.width, cluster_size)   # refuses oversized grids
     bounds = sweep_chunk_bounds(grid.width)
@@ -146,15 +186,16 @@ def cluster_sweep(grid: CellGrid, cluster_size: int) -> ClusterReport:
         sum_ed[ia] += blocks.sum(axis=(1, 3))
         sq_parts[:, ia] += squares
         del exact, ed, blocks   # free this chunk before the next is evaluated
-    return ClusterReport(spec, finish_blocks(spec, sum_ed, sq_parts), totals)
+    return ClusterReport(spec, None, totals, (sum_ed, sq_parts))
 
 
-def finish_blocks(spec: ClusterSpec, sum_ed: np.ndarray,
-                  sq_parts: np.ndarray) -> np.ndarray:
+def finish_blocks(spec: ClusterSpec, sum_ed: np.ndarray, sq_parts: np.ndarray,
+                  first_row: int = 0) -> np.ndarray:
     """The report's structured array from per-block ED sums and squared partials.
 
-    `sum_ed` is (grid_side, grid_side) and `sq_parts` the matching
-    `square_partials`, (3, grid_side, grid_side).  Every step rounds as
+    `sum_ed` holds block rows `first_row`, `first_row + 1`, ... of the
+    grid, (rows, grid_side), and `sq_parts` the matching
+    `square_partials`, (3, rows, grid_side).  Every step rounds as
     the scalar formulas do: a block holds a power-of-two number of pairs,
     so int -> float conversion followed by `/ pairs` equals Python's
     `int / int`, and the squaring of 255/pmax and the logarithm of the
@@ -163,6 +204,7 @@ def finish_blocks(spec: ClusterSpec, sum_ed: np.ndarray,
     """
     s, g = spec.cluster_size, spec.grid_side
     pairs = s * s
+    rows = sum_ed.shape[0]
     sum_ed = sum_ed.ravel()
     hh, hl, ll = sq_parts.reshape(3, -1)
     bound = ((int(hh.max(initial=0)) << 32) + (int(hl.max(initial=0)) << 17)
@@ -173,7 +215,7 @@ def finish_blocks(spec: ClusterSpec, sum_ed: np.ndarray,
     mean_ed = sum_ed / pairs
     mse = (sum_ed_sq / pairs).astype(np.float64)
     edge = s * np.arange(g, dtype=np.int64) + s - 1
-    pmax = np.multiply.outer(edge, edge).ravel()
+    pmax = np.multiply.outer(edge[first_row:first_row + rows], edge).ravel()
     ned = np.zeros_like(mean_ed)
     factor = np.ones_like(mse)   # a block with pmax 0 keeps its raw MSE
     scaled_blocks = pmax > 0
@@ -186,11 +228,12 @@ def finish_blocks(spec: ClusterSpec, sum_ed: np.ndarray,
     psnr[erring] = 10.0 * np.array(
         list(map(math.log10, (PEAK_SQUARED / scaled[erring]).tolist())))
 
-    ia, ib = np.divmod(np.arange(g * g, dtype=np.int64), g)
+    ia, ib = np.divmod(np.arange(first_row * g, (first_row + rows) * g,
+                                 dtype=np.int64), g)
     columns = {"ia": ia, "ib": ib, "mean_ed": mean_ed, "pmax_cluster": pmax,
                "ned": ned, "mse": mse, "psnr": psnr,
                "sum_ed": sum_ed, "sum_ed_sq": sum_ed_sq}
-    cells = np.empty(g * g, dtype=[(name, col.dtype) for name, col in columns.items()])
+    cells = np.empty(rows * g, dtype=[(name, col.dtype) for name, col in columns.items()])
     for name, col in columns.items():
         cells[name] = col
     return cells

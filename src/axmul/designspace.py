@@ -7,7 +7,6 @@ Design1, AMA1/D2 is Design2, ..., AMA5/D4 is Design20.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -73,25 +72,14 @@ def analyze_design(config: MultiplierConfig, library: AdderLibrary,
 
 
 def library_metrics_table(entries: list[tuple[DesignId, MultiplierConfig]],
-                          library: AdderLibrary, cluster_size: int,
-                          workers: int) -> list[TableRow]:
+                          library: AdderLibrary, cluster_size: int) -> list[TableRow]:
     """One analyzed row per `enumerate_library` entry, in the entries' order.
 
-    Rows are independent jobs; with workers > 1 they run in a process
-    pool of at most one process per entry (a forking pool starts all of
-    its processes at the first job) and are still collected in order, so
-    the result is identical for any worker count.
+    The designs are analyzed one after another in this process; README
+    ("Command line") says why no process pool is used.
     """
-    jobs = ([cfg for _, cfg in entries], repeat(library), repeat(cluster_size))
-    workers = min(workers, len(entries))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(analyze_design, *jobs))
-    else:
-        results = list(map(analyze_design, *jobs))
-    return [TableRow(did, report, clusters)
-            for (did, _), (report, clusters) in zip(entries, results)]
+    return [TableRow(did, *analyze_design(config, library, cluster_size))
+            for did, config in entries]
 
 
 def table_csv(rows: list[TableRow]) -> str:

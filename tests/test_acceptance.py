@@ -52,7 +52,7 @@ def shipped_library():
 def shipped_table(shipped_library):
     start = time.monotonic()
     rows = library_metrics_table(enumerate_library(shipped_library, "row_ripple"),
-                                 shipped_library, 16, 1)
+                                 shipped_library, 16)
     elapsed = time.monotonic() - start
     assert elapsed < 120.0, f"20 exhaustive sweeps took {elapsed:.1f}s (limit 120s)"
     comparison = compare_to_published(rows)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import importlib.util
 import json
@@ -340,6 +341,26 @@ def test_table_determinism_and_workers(fake_ama_file, tmp_path):
     assert runs["a"] == runs["b"] == runs["c"]
 
 
+@pytest.mark.parametrize("command", ["table", "select"])
+def test_library_commands_start_no_process(command, fake_ama_file, tmp_path,
+                                           capsys, monkeypatch):
+    """`--workers 2` is accepted, starts no process and writes `--workers 1`'s bytes."""
+    def outputs(workers):
+        out = tmp_path / workers
+        assert main([command, "--library", fake_ama_file, "--out", str(out),
+                     "--workers", workers]) == 0
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        return files, capsys.readouterr().out
+
+    serial = outputs("1")
+
+    def no_process(*_args, **_kwargs):
+        raise AssertionError(f"{command} started a process")
+    monkeypatch.setattr(os, "fork", no_process)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_process)
+    assert outputs("2") == serial
+
+
 def test_clusters_exact(exact_lib_file, tmp_path, capsys):
     out = tmp_path / "cl"
     code = main(["clusters", "--library", exact_lib_file, "--width", "4",
@@ -584,15 +605,16 @@ def test_outputs_match_committed_digests(workload, key, args, tmp_path, capsys):
     assert hashlib.sha256(stdout).hexdigest() == expected["stdout"]
 
 
-# sha256 of select --metric psnr on the shipped library, recorded before the
-# selection became an ordinal array; the benchmark digests cover --metric ned only
+# sha256 of select --metric psnr on the shipped library, files recorded before
+# the selection became an ordinal array, stdout since it prints the rule as
+# `psnr>= t`; the benchmark digests cover --metric ned only
 PSNR_SELECT_DIGESTS = {
     16: {"selection.csv": "71ea7485a29e83a4a2c8c078cef45658c10a74beaa4137376102ae0ea4d82d7b",
          "selection.json": "091d2d33c98a654cdc6853aaa52889bf9e284a6d4e98092defecb3f334a5bf50",
-         "stdout": "67c6fffee9696a29b37229e1092290d416780c41b3891060dce5c0ae99a9c373"},
+         "stdout": "f76ebab71717a557babd49fd1cbf5847da10b6321cc1da3f0121d88984174292"},
     2: {"selection.csv": "75c471fc765e1971b08555d38b977c94c7e5e3588d129a2945ff0a77b53ce283",
         "selection.json": "20a41992c4416cb030bed2faa1ee5cc76b49d207fd370e93c7db5ddef0fdeb38",
-        "stdout": "a655e0749d77fd2a47a98837dc2e9f802160519e0dbf8541de7537dc9b6b46ae"},
+        "stdout": "1db9f5e850da32ca97d027fb76da07774b85e160f6c4e2bd40bb130dddff5cf6"},
 }
 
 

@@ -1,4 +1,3 @@
-import concurrent.futures
 import dataclasses
 import inspect
 import json
@@ -179,7 +178,7 @@ def test_select_mismatched_specs_rejected():
 @pytest.fixture(scope="module")
 def shipped_rows():
     lib = load_library_file(default_library_path())
-    return library_metrics_table(enumerate_library(lib, "row_ripple"), lib, 16, 1)
+    return library_metrics_table(enumerate_library(lib, "row_ripple"), lib, 16)
 
 
 @pytest.mark.parametrize("metric, threshold", [("ned", 1.0), ("psnr", 25.0)])
@@ -265,45 +264,11 @@ def test_policy_validation():
 
 def test_table_rows_deterministic_and_ordered():
     lib = fake_ama_library()
-    rows1 = library_metrics_table(enumerate_library(lib, "row_ripple"), lib, 16, 1)
-    rows2 = library_metrics_table(enumerate_library(lib, "row_ripple"), lib, 16, 1)
+    rows1 = library_metrics_table(enumerate_library(lib, "row_ripple"), lib, 16)
+    rows2 = library_metrics_table(enumerate_library(lib, "row_ripple"), lib, 16)
     assert [r.design.ordinal for r in rows1] == list(range(1, 21))
     assert table_csv(rows1) == table_csv(rows2)
     assert all(r.report.ned_clustered_avg is not None for r in rows1)
-
-
-def test_table_pool_has_at_most_one_process_per_design(monkeypatch):
-    pools = []
-
-    class InProcessPool:
-        """Records the pool size and maps in-process, so no process starts."""
-
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    lib = fake_ama_library()
-    entries = enumerate_library(lib, "row_ripple")[:3]
-    serial = library_metrics_table(entries, lib, 16, workers=1)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-
-    pooled = library_metrics_table(entries, lib, 16, workers=10**6)
-    assert pools == [3]
-    assert table_csv(pooled) == table_csv(serial)
-    assert [r.clusters.cells.tobytes() for r in pooled] == \
-        [r.clusters.cells.tobytes() for r in serial]
-
-    single = library_metrics_table(entries[:1], lib, 16, workers=2)
-    assert pools == [3]   # one design runs in-process
-    assert table_csv(single) == table_csv(serial[:1])
 
 
 @pytest.mark.parametrize("cluster_size", [2, 16, 64])
