@@ -314,6 +314,7 @@ def cmd_histogram(args) -> int:
 
 
 def cmd_select(args) -> int:
+    from .clustering import RULES
     from .designspace import (library_metrics_table, select_per_cluster, selection_csv,
                               selection_summary)
     from .metrics import fmt6
@@ -331,7 +332,7 @@ def cmd_select(args) -> int:
         _write(args.out, "selection.json", _json_text(doc))
     top = sorted(summary["usage_counts"].items(), key=lambda kv: (-kv[1], kv[0]))[:4]
     shown = " ".join(f"{k}:{v}" for k, v in top)
-    rule = "<=" if args.metric == "ned" else ">="   # as ClusterReport.meets admits
+    _, rule = RULES[args.metric]
     print(f"selection ({args.metric}{rule} {threshold:g}): "
           f"exact_fraction={fmt6(summary['exact_fraction'])} top=[{shown}]")
     return 0

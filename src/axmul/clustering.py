@@ -10,8 +10,8 @@ produce; the global normalization stays available in MetricReport.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -24,9 +24,8 @@ from .metrics import (PEAK_SQUARED, MetricAccumulator, accumulate_arrays,
 
 MAX_BLOCKS = 1 << 20   # grid side <= 1024; the report keeps a row per block
 MAX_BINS = 1 << 16     # every bin width fits at width 8, where ED < 2^16
-# blocks finished at a time for the averages of a larger grid; every grid
-# at width 8 is one batch
-BATCH_BLOCKS = 1 << 16
+# the per-block rule of each quality metric: its comparison and symbol
+RULES = {"ned": (operator.le, "<="), "psnr": (operator.ge, ">=")}
 
 
 @dataclass(frozen=True)
@@ -53,6 +52,7 @@ class ClusterSpec:
         return self.grid_side ** 2
 
 
+@dataclass(frozen=True, eq=False)
 class ClusterReport:
     """Aggregates of every s*s operand block, one structured-array row each.
 
@@ -65,81 +65,43 @@ class ClusterReport:
     peak product: the EDs are mapped onto 0..255 by 255/pmax_cluster
     before squaring, which makes blocks of small operands comparable to
     blocks of large ones.
-
-    A report of `cluster_sweep` keeps the per-block sums, `sums =
-    (sum_ed, sq_parts)`, and builds `cells` from them on first read.  A
-    grid of more than BATCH_BLOCKS blocks whose cells nobody has read
-    takes its averages from the sums BATCH_BLOCKS blocks at a time, so
-    `sweep` never holds a row per block.
     """
 
-    def __init__(self, spec: ClusterSpec, cells: np.ndarray | None,
-                 totals: MetricAccumulator,
-                 sums: tuple[np.ndarray, np.ndarray] | None = None):
-        self.spec = spec
-        self.totals = totals   # the whole-domain sweep the cells came from
-        self._sums = sums
-        if cells is not None:
-            self.cells = cells
+    spec: ClusterSpec
+    cells: np.ndarray
+    totals: MetricAccumulator         # the whole-domain sweep the cells came from
 
-    @cached_property
-    def cells(self) -> np.ndarray:
-        cells = finish_blocks(self.spec, *self._sums)
-        self._sums = None   # the cells hold the sums too
-        return cells
-
-    def _cell_batches(self):
-        """`cells` in row-major batches: whole where built or small, else from the sums."""
-        if "cells" in vars(self) or self.spec.total_clusters <= BATCH_BLOCKS:
-            yield self.cells
-            return
-        sum_ed, sq_parts = self._sums
-        step = BATCH_BLOCKS // self.spec.grid_side
-        for row in range(0, self.spec.grid_side, step):
-            yield finish_blocks(self.spec, sum_ed[row:row + step],
-                                sq_parts[:, row:row + step], row)
-
-    @cached_property
-    def _averages(self) -> tuple[float, float]:
-        # Python's sequential float sum, not numpy's pairwise one: the printed
-        # values depend on the summation order.  Carried from batch to batch,
-        # it adds in the order of one sum over every block.
-        ned_sum, blocks, psnr_sum, finite = 0.0, 0, 0.0, 0
-        for cells in self._cell_batches():
-            ned_sum = sum(cells["ned"].tolist(), ned_sum)
-            blocks += len(cells)
-            psnr = cells["psnr"]
-            psnr = psnr[psnr != math.inf].tolist()
-            psnr_sum = sum(psnr, psnr_sum)
-            finite += len(psnr)
-        return ned_sum / blocks, psnr_sum / finite if finite else math.inf
-
+    # The averages use Python's sequential float sum, not numpy's pairwise
+    # one: the printed values depend on the summation order.
     @property
     def ned_avg(self) -> float:
-        return self._averages[0]
+        return sum(self.cells["ned"].tolist()) / len(self.cells)
 
     @property
     def ned_max(self) -> float:
         return float(self.cells["ned"].max())
 
+    def _finite_psnr(self) -> np.ndarray:
+        psnr = self.cells["psnr"]
+        return psnr[psnr != math.inf]
+
     @property
     def psnr_avg(self) -> float:
         """Mean over finite-PSNR cells; +inf cells are reported separately."""
-        return self._averages[1]
+        finite = self._finite_psnr().tolist()
+        return sum(finite) / len(finite) if finite else math.inf
 
     @property
     def psnr_min(self) -> float:
-        psnr = self.cells["psnr"]
-        finite = psnr[psnr != math.inf]
+        finite = self._finite_psnr()
         return float(finite.min()) if finite.size else math.inf
 
     def meets(self, metric: str, threshold: float) -> np.ndarray:
-        """Per block, whether it meets the threshold: ned <= t, or psnr >= t."""
-        if metric == "ned":
-            return self.cells["ned"] <= threshold
-        if metric == "psnr":
-            return self.cells["psnr"] >= threshold
-        raise ValueError(f"unknown quality metric {metric!r}")
+        """Per block, whether it meets the threshold by RULES: ned <= t, or psnr >= t."""
+        if metric not in RULES:
+            raise ValueError(f"unknown quality metric {metric!r}")
+        compare, _ = RULES[metric]
+        return compare(self.cells[metric], threshold)
 
 
 def chunk_errors(grid: CellGrid, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -164,8 +126,8 @@ def cluster_sweep(grid: CellGrid, cluster_size: int) -> ClusterReport:
     partials; a block taller than a chunk collects several chunks.  The
     chunk's partials, summed over its blocks, give the squared-ED sum of
     the global accumulator, which merges the chunks in chunk order (so
-    `totals` equals `exhaustive_sweep`).  The report keeps the per-block
-    sums; `finish_blocks` turns them into its columns.
+    `totals` equals `exhaustive_sweep`).  `finish_blocks` turns the
+    per-block sums into the report's columns.
     """
     spec = ClusterSpec(grid.width, cluster_size)   # refuses oversized grids
     bounds = sweep_chunk_bounds(grid.width)
@@ -186,16 +148,15 @@ def cluster_sweep(grid: CellGrid, cluster_size: int) -> ClusterReport:
         sum_ed[ia] += blocks.sum(axis=(1, 3))
         sq_parts[:, ia] += squares
         del exact, ed, blocks   # free this chunk before the next is evaluated
-    return ClusterReport(spec, None, totals, (sum_ed, sq_parts))
+    return ClusterReport(spec, finish_blocks(spec, sum_ed, sq_parts), totals)
 
 
-def finish_blocks(spec: ClusterSpec, sum_ed: np.ndarray, sq_parts: np.ndarray,
-                  first_row: int = 0) -> np.ndarray:
+def finish_blocks(spec: ClusterSpec, sum_ed: np.ndarray,
+                  sq_parts: np.ndarray) -> np.ndarray:
     """The report's structured array from per-block ED sums and squared partials.
 
-    `sum_ed` holds block rows `first_row`, `first_row + 1`, ... of the
-    grid, (rows, grid_side), and `sq_parts` the matching
-    `square_partials`, (3, rows, grid_side).  Every step rounds as
+    `sum_ed` is (grid_side, grid_side) and `sq_parts` the matching
+    `square_partials`, (3, grid_side, grid_side).  Every step rounds as
     the scalar formulas do: a block holds a power-of-two number of pairs,
     so int -> float conversion followed by `/ pairs` equals Python's
     `int / int`, and the squaring of 255/pmax and the logarithm of the
@@ -204,7 +165,6 @@ def finish_blocks(spec: ClusterSpec, sum_ed: np.ndarray, sq_parts: np.ndarray,
     """
     s, g = spec.cluster_size, spec.grid_side
     pairs = s * s
-    rows = sum_ed.shape[0]
     sum_ed = sum_ed.ravel()
     hh, hl, ll = sq_parts.reshape(3, -1)
     bound = ((int(hh.max(initial=0)) << 32) + (int(hl.max(initial=0)) << 17)
@@ -215,7 +175,7 @@ def finish_blocks(spec: ClusterSpec, sum_ed: np.ndarray, sq_parts: np.ndarray,
     mean_ed = sum_ed / pairs
     mse = (sum_ed_sq / pairs).astype(np.float64)
     edge = s * np.arange(g, dtype=np.int64) + s - 1
-    pmax = np.multiply.outer(edge[first_row:first_row + rows], edge).ravel()
+    pmax = np.multiply.outer(edge, edge).ravel()
     ned = np.zeros_like(mean_ed)
     factor = np.ones_like(mse)   # a block with pmax 0 keeps its raw MSE
     scaled_blocks = pmax > 0
@@ -228,12 +188,11 @@ def finish_blocks(spec: ClusterSpec, sum_ed: np.ndarray, sq_parts: np.ndarray,
     psnr[erring] = 10.0 * np.array(
         list(map(math.log10, (PEAK_SQUARED / scaled[erring]).tolist())))
 
-    ia, ib = np.divmod(np.arange(first_row * g, (first_row + rows) * g,
-                                 dtype=np.int64), g)
+    ia, ib = np.divmod(np.arange(g * g, dtype=np.int64), g)
     columns = {"ia": ia, "ib": ib, "mean_ed": mean_ed, "pmax_cluster": pmax,
                "ned": ned, "mse": mse, "psnr": psnr,
                "sum_ed": sum_ed, "sum_ed_sq": sum_ed_sq}
-    cells = np.empty(rows * g, dtype=[(name, col.dtype) for name, col in columns.items()])
+    cells = np.empty(g * g, dtype=[(name, col.dtype) for name, col in columns.items()])
     for name, col in columns.items():
         cells[name] = col
     return cells

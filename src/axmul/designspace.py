@@ -75,8 +75,7 @@ def library_metrics_table(entries: list[tuple[DesignId, MultiplierConfig]],
                           library: AdderLibrary, cluster_size: int) -> list[TableRow]:
     """One analyzed row per `enumerate_library` entry, in the entries' order.
 
-    The designs are analyzed one after another in this process; README
-    ("Command line") says why no process pool is used.
+    The designs are analyzed one after another in this process.
     """
     return [TableRow(did, *analyze_design(config, library, cluster_size))
             for did, config in entries]

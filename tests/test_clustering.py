@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from axmul.adders import AdderLibrary
-from axmul.clustering import (BATCH_BLOCKS, MAX_BLOCKS, ClusterReport, ClusterSpec,
+from axmul.clustering import (MAX_BLOCKS, ClusterReport, ClusterSpec,
                               cluster_csv, cluster_matrix, cluster_sweep,
                               ed_histogram, finish_blocks, histogram_csv)
 from axmul.fabric import MultiplierConfig, build_multiplier
@@ -88,20 +88,6 @@ def test_report_extremes_order(small_library):
     report = cluster_sweep(grid, 4)
     assert report.ned_max >= report.ned_avg
     assert report.psnr_min <= report.psnr_avg
-
-
-def test_batched_averages_equal_one_sum_over_the_cells(small_library):
-    # width 9, cluster size 1: 2^18 one-pair blocks, four batches
-    grid = build_multiplier(MultiplierConfig(9, "RND1", 9, "row_ripple"), small_library)
-    report = cluster_sweep(grid, 1)
-    assert report.spec.total_clusters > BATCH_BLOCKS
-    averages = (report.ned_avg, report.psnr_avg)
-    assert "cells" not in vars(report)   # the averages built no row per block
-    cells = report.cells
-    finite = cells["psnr"][cells["psnr"] != math.inf].tolist()
-    assert 0 < len(finite) < len(cells)
-    want = (sum(cells["ned"].tolist()) / len(cells), sum(finite) / len(finite))
-    assert [a.hex() for a in averages] == [w.hex() for w in want]
 
 
 def test_threshold_monotonicity(small_library):
