@@ -315,14 +315,15 @@ def cmd_histogram(args) -> int:
 
 def cmd_select(args) -> int:
     from .clustering import RULES
-    from .designspace import (library_metrics_table, select_per_cluster, selection_csv,
+    from .designspace import (analyze_design, select_per_cluster, selection_csv,
                               selection_summary)
     from .metrics import fmt6
     library, entries = _library_entries(args)
-    rows = library_metrics_table(entries, library, args.cluster_size)
     threshold = args.ned_threshold if args.metric == "ned" else args.psnr_threshold
-    ordinals = select_per_cluster([(r.design, r.clusters) for r in rows],
-                                  args.metric, threshold)
+    # each design is analyzed as the selection draws it, and dropped once folded in
+    reports = ((did, analyze_design(config, library, args.cluster_size)[1])
+               for did, config in entries)
+    ordinals = select_per_cluster(reports, args.metric, threshold)
     summary = selection_summary(ordinals)
 
     if "csv" in args.format:

@@ -71,11 +71,13 @@ class ClusterReport:
     cells: np.ndarray
     totals: MetricAccumulator         # the whole-domain sweep the cells came from
 
-    # The averages use Python's sequential float sum, not numpy's pairwise
-    # one: the printed values depend on the summation order.
+    # The averages sum left to right with np.add.accumulate, not pairwise as
+    # numpy's sum does, nor compensated as Python's sum() is from 3.12 on:
+    # the printed values depend on the summation order.
     @property
     def ned_avg(self) -> float:
-        return sum(self.cells["ned"].tolist()) / len(self.cells)
+        ned = self.cells["ned"]
+        return float(np.add.accumulate(ned)[-1]) / ned.size
 
     @property
     def ned_max(self) -> float:
@@ -88,8 +90,10 @@ class ClusterReport:
     @property
     def psnr_avg(self) -> float:
         """Mean over finite-PSNR cells; +inf cells are reported separately."""
-        finite = self._finite_psnr().tolist()
-        return sum(finite) / len(finite) if finite else math.inf
+        finite = self._finite_psnr()
+        if not finite.size:
+            return math.inf
+        return float(np.add.accumulate(finite)[-1]) / finite.size
 
     @property
     def psnr_min(self) -> float:

@@ -6,6 +6,7 @@ Design1, AMA1/D2 is Design2, ..., AMA5/D4 is Design20.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,9 +57,13 @@ def enumerate_library(library: AdderLibrary,
 
 @dataclass(frozen=True)
 class TableRow:
+    """One design's whole-domain metrics, its cluster averages included.
+
+    The row keeps no per-block report, so a table holds one at a time.
+    """
+
     design: DesignId
     report: MetricReport
-    clusters: ClusterReport
 
 
 def analyze_design(config: MultiplierConfig, library: AdderLibrary,
@@ -75,9 +80,11 @@ def library_metrics_table(entries: list[tuple[DesignId, MultiplierConfig]],
                           library: AdderLibrary, cluster_size: int) -> list[TableRow]:
     """One analyzed row per `enumerate_library` entry, in the entries' order.
 
-    The designs are analyzed one after another in this process.
+    The designs are analyzed one after another in this process, and each
+    design's per-block report is dropped once its row is made: one report
+    is alive at a time.
     """
-    return [TableRow(did, *analyze_design(config, library, cluster_size))
+    return [TableRow(did, analyze_design(config, library, cluster_size)[0])
             for did, config in entries]
 
 
@@ -90,7 +97,7 @@ def table_csv(rows: list[TableRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def select_per_cluster(reports: list[tuple[DesignId, ClusterReport]],
+def select_per_cluster(reports: Iterable[tuple[DesignId, ClusterReport]],
                        metric: str, threshold: float) -> np.ndarray:
     """Per block, the ordinal of the highest-degree design whose cell meets the threshold.
 
@@ -98,21 +105,22 @@ def select_per_cluster(reports: list[tuple[DesignId, ClusterReport]],
     (grid_side, grid_side) int64 grid of ordinals, indexed [ia, ib]; 0
     marks a block where no design qualifies (exact fallback), so design
     ordinals must be >= 1.  Ties go to the lowest cluster NED, then the
-    lowest ordinal.
+    lowest ordinal.  `reports` may be a generator: each report is folded
+    in as it arrives and released before the next is drawn, so one report
+    is alive at a time.
     """
-    if not reports:
-        raise ValueError("no design reports to select from")
-    sides = {rep.spec.grid_side for _, rep in reports}
-    if len(sides) != 1:
-        raise ValueError(f"cluster grids disagree: sides {sorted(sides)}")
-    side = sides.pop()
-
     # lexicographic min of (-degree, ned, ordinal) over the admitted designs,
     # one design at a time over all blocks; degree -1 marks "none yet"
-    best_degree = np.full(side * side, -1)
-    best_ned = np.zeros(side * side)
-    best_ordinal = np.zeros(side * side, dtype=np.int64)
+    side = None
     for did, rep in reports:
+        if side is None:
+            side = rep.spec.grid_side
+            best_degree = np.full(side * side, -1)
+            best_ned = np.zeros(side * side)
+            best_ordinal = np.zeros(side * side, dtype=np.int64)
+        elif rep.spec.grid_side != side:
+            raise ValueError(
+                f"cluster grids disagree: sides {sorted({side, rep.spec.grid_side})}")
         ned = rep.cells["ned"]
         wins = rep.meets(metric, threshold) & (
             (did.degree_bits > best_degree)
@@ -122,6 +130,9 @@ def select_per_cluster(reports: list[tuple[DesignId, ClusterReport]],
         best_degree[wins] = did.degree_bits
         best_ned[wins] = ned[wins]
         best_ordinal[wins] = did.ordinal
+        del rep, ned   # release this report before the next is drawn
+    if side is None:
+        raise ValueError("no design reports to select from")
     return best_ordinal.reshape(side, side)
 
 
@@ -134,9 +145,8 @@ def selection_csv(ordinals: np.ndarray) -> str:
 
 def selection_summary(ordinals: np.ndarray) -> dict:
     """Grid side, blocks per design (`Design<k>`, `exact` for 0) and the exact share."""
-    keys, counts = np.unique(ordinals, return_counts=True)
     usage = {f"Design{k}" if k else "exact": n
-             for k, n in zip(keys.tolist(), counts.tolist())}
+             for k, n in enumerate(np.bincount(ordinals.ravel()).tolist()) if n}
     return {
         "grid_side": ordinals.shape[0],
         "usage_counts": usage,

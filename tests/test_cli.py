@@ -1,11 +1,14 @@
+import builtins
 import concurrent.futures
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import xml.dom.minidom
 from pathlib import Path
 
@@ -13,8 +16,10 @@ import pytest
 
 import axmul.clustering
 import axmul.metrics
+from axmul.adders import load_library_file
 from axmul.cli import build_parser, default_library_path, main, parse_degree
-from axmul.designspace import AMA_TYPES
+from axmul.designspace import AMA_TYPES, analyze_design
+from axmul.fabric import MultiplierConfig
 
 CANONICAL = ('[\n  {\n    "name": "exact",\n    "sum_bits": "01101001",\n'
              '    "cout_bits": "00010111"\n  }\n]\n')
@@ -361,6 +366,28 @@ def test_library_commands_start_no_process(command, fake_ama_file, tmp_path,
     assert outputs("2") == serial
 
 
+@pytest.mark.parametrize("command", ["table", "select"])
+def test_library_commands_hold_one_report_at_a_time(command, fake_ama_file, tmp_path):
+    """At cluster size 2 the traced peak is a few per-block reports wide, not 20.
+
+    tracemalloc counts numpy's buffers and the command's own allocations; an
+    RSS high-water mark would also count whatever this process held before.
+    """
+    library = load_library_file(fake_ama_file)
+    # made before tracing starts, so the modules the command imports are loaded
+    _, report = analyze_design(MultiplierConfig(8, "AMA1", 7, "row_ripple"), library, 2)
+    report_bytes = report.cells.nbytes
+    del report
+    tracemalloc.start()
+    try:
+        assert main([command, "--library", fake_ama_file, "--cluster-size", "2",
+                     "--format", "json", "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * report_bytes, f"{peak / report_bytes:.1f} reports"
+
+
 def test_clusters_exact(exact_lib_file, tmp_path, capsys):
     out = tmp_path / "cl"
     code = main(["clusters", "--library", exact_lib_file, "--width", "4",
@@ -576,7 +603,8 @@ EXPECTED_DIR = BENCH_DIR / "expected"
 GOLDEN_COMMON = ["--width", "8", "--architecture", "row_ripple"]
 
 
-@pytest.mark.parametrize("workload, key, args", [
+# the benchmark's commands whose digests bench/expected commits
+COMMITTED_DIGEST_CASES = [
     ("paper-table-w8", "table",
      ["table", "--cluster-size", "16", "--workers", "2"]),
     ("paper-table-w8", "select",
@@ -591,9 +619,16 @@ GOLDEN_COMMON = ["--width", "8", "--architecture", "row_ripple"]
        ["sweep", "--cluster-size", size, "--type", "exact", "--degree", "0",
         "--workers", "1"])
       for workload, size in (("paper-table-w8", "16"), ("fine-clusters-w8", "2"))],
-])
+]
+
+
+@pytest.mark.parametrize("workload, key, args", COMMITTED_DIGEST_CASES)
 def test_outputs_match_committed_digests(workload, key, args, tmp_path, capsys):
     """Shipped-library outputs stay byte-identical to the benchmark's digests."""
+    assert_committed_digests(workload, key, args, tmp_path, capsys)
+
+
+def assert_committed_digests(workload, key, args, tmp_path, capsys):
     expected = json.loads((EXPECTED_DIR / f"{workload}.json").read_text())["commands"][key]
     code = main([*args, *GOLDEN_COMMON, "--library", default_library_path(),
                  "--out", str(tmp_path)])
@@ -603,6 +638,47 @@ def test_outputs_match_committed_digests(workload, key, args, tmp_path, capsys):
              for p in tmp_path.iterdir()}
     assert files == expected["files"]
     assert hashlib.sha256(stdout).hexdigest() == expected["stdout"]
+
+
+BUILTIN_SUM = builtins.sum
+
+
+def compensated_sum(iterable, /, start=0):
+    """`sum()` of floats as CPython computes it from 3.12 on: Neumaier-compensated.
+
+    Anything but a sum of floats from the default start goes to the builtin.
+    """
+    items = list(iterable)
+    if (type(start) is not int or start != 0 or not items
+            or any(type(v) is not float for v in items)):
+        return BUILTIN_SUM(items, start)
+    total, compensation = 0.0 + items[0], 0.0
+    for value in items[1:]:
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+def test_compensated_sum_rounds_as_python_3_12():
+    assert BUILTIN_SUM([0.1] * 10) == 0.9999999999999999
+    assert compensated_sum([0.1] * 10) == 1.0
+    assert compensated_sum([1e100, 1.0, -1e100]) == 1.0
+    assert compensated_sum([math.inf, 1.0]) == math.inf
+    assert compensated_sum([3, 4]) == 7
+
+
+@pytest.mark.parametrize("workload, key, args", COMMITTED_DIGEST_CASES)
+def test_committed_digests_hold_under_a_compensated_sum(workload, key, args, tmp_path,
+                                                         capsys, monkeypatch):
+    """The output bytes do not depend on how the running Python's `sum()` rounds."""
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert_committed_digests(workload, key, args, tmp_path, capsys)
 
 
 # sha256 of select --metric psnr on the shipped library, files recorded before
@@ -671,6 +747,17 @@ RECORDED_DIGESTS = {
 
 @pytest.mark.parametrize("key", sorted(RECORDED_DIGESTS))
 def test_outputs_match_recorded_digests(key, tmp_path, capsys):
+    assert_recorded_digests(key, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("key", sorted(RECORDED_DIGESTS))
+def test_recorded_digests_hold_under_a_compensated_sum(key, tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert_recorded_digests(key, tmp_path, capsys)
+
+
+def assert_recorded_digests(key, tmp_path, capsys):
     command, adder, degree, *options = key.split()
     assert main([command, "--type", adder, "--degree", degree, *options,
                  "--out", str(tmp_path)]) == 0

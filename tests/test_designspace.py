@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -176,21 +177,49 @@ def test_select_mismatched_specs_rejected():
 
 
 @pytest.fixture(scope="module")
-def shipped_rows():
+def shipped_reports():
     lib = load_library_file(default_library_path())
-    return library_metrics_table(enumerate_library(lib, "row_ripple"), lib, 16)
+    return [(did, analyze_design(config, lib, 16)[1])
+            for did, config in enumerate_library(lib, "row_ripple")]
 
 
 @pytest.mark.parametrize("metric, threshold", [("ned", 1.0), ("psnr", 25.0)])
-def test_select_one_design_keeps_the_blocks_it_meets(shipped_rows, metric, threshold):
+def test_select_one_design_keeps_the_blocks_it_meets(shipped_reports, metric, threshold):
     mixed = 0
-    for row in shipped_rows:
-        meets = row.clusters.meets(metric, threshold)
-        sel = select_per_cluster([(row.design, row.clusters)], metric, threshold)
-        want = np.where(meets, row.design.ordinal, 0).reshape(sel.shape)
+    for did, rep in shipped_reports:
+        meets = rep.meets(metric, threshold)
+        sel = select_per_cluster([(did, rep)], metric, threshold)
+        want = np.where(meets, did.ordinal, 0).reshape(sel.shape)
         assert sel.tolist() == want.tolist()
         mixed += 0 < meets.sum() < meets.size
     assert mixed   # some design meets the threshold in some blocks only
+
+
+@pytest.mark.parametrize("metric, threshold", [("ned", 1.0), ("psnr", 25.0)])
+def test_select_reads_a_generator_as_a_list(shipped_reports, metric, threshold):
+    """Grid checks and folding share one pass, so a generator is read once."""
+    want = select_per_cluster(shipped_reports, metric, threshold)
+    got = select_per_cluster((pair for pair in shipped_reports), metric, threshold)
+    assert got.tolist() == want.tolist()
+    assert (want != 0).any()
+
+
+def test_select_releases_each_report_before_the_next_is_drawn():
+    spec = ClusterSpec(2, 1)
+    alive = []
+
+    def reports():
+        for ordinal in range(1, 5):
+            # every report drawn before this one is released by now
+            assert [ref() for ref in alive] == [None] * len(alive)
+            rep = synth_report([0.1 * ordinal] * spec.total_clusters, spec=spec)
+            alive.append(weakref.ref(rep))
+            yield DesignId("T", "d", ordinal, degree_bits=ordinal), rep
+            del rep
+
+    sel = select_per_cluster(reports(), "ned", 1.0)
+    assert (sel == 4).all()
+    assert len(alive) == 4
 
 
 def test_select_matches_argmax_oracle_4bit():
